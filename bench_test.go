@@ -878,9 +878,8 @@ type benchDoc struct {
 // BENCH_compute.json: serial-vs-parallel for each kernel, the
 // per-image-vs-batched conv pipeline and naive-vs-blocked matmul pairs,
 // the dense-vs-sparse spike-kernel pairs (density sweep plus the
-// end-to-end sparse BPTT step), the default-vs-fast numerics tier
-// pair, the serving offered-load sweep with its knee, and the
-// streaming event-throughput run. A record with the same label (SNNSEC_BENCH_LABEL, default
+// end-to-end sparse BPTT step), the serving offered-load sweep with its
+// knee, and the streaming event-throughput run. A record with the same label (SNNSEC_BENCH_LABEL, default
 // "PR 6") is replaced; other PRs' records are preserved. It only runs when SNNSEC_WRITE_BENCH is set:
 //
 //	SNNSEC_WRITE_BENCH=1 go test -run TestWriteComputeBenchJSON
@@ -897,13 +896,6 @@ func TestWriteComputeBenchJSON(t *testing.T) {
 	}
 	spikeBPTT := func(spikeKernels bool) func(*testing.B) {
 		return func(b *testing.B) { benchSpikeSNNBPTTStep(b, spikeKernels) }
-	}
-	atTier := func(prec compute.Precision) func(*testing.B) {
-		return func(b *testing.B) {
-			compute.SetPrecision(prec)
-			defer compute.SetPrecision(compute.Float64)
-			benchMatMul256(b, ser)
-		}
 	}
 	pairs := []struct {
 		name, baseline, candidate string
@@ -923,10 +915,6 @@ func TestWriteComputeBenchJSON(t *testing.T) {
 		{"SpikeMatMul256d10", "dense", "sparse", atDensity(0.1, false), atDensity(0.1, true)},
 		{"SpikeMatMul256d50", "dense", "sparse", atDensity(0.5, false), atDensity(0.5, true)},
 		{"SNNBPTTStepSparse", "dense-kernels", "spike-kernels", spikeBPTT(false), spikeBPTT(true)},
-		// Fast-numerics tier (PR 6): the default float64 blocked kernel vs
-		// the opt-in float32 FMA/AVX2 staging path on the same product
-		// (single core). The CI perf gate requires ≥1.3× here.
-		{"MatMul256", "float64-default", "float32-fast", atTier(compute.Float64), atTier(compute.Float32)},
 		// Tape-free inference engine (PR 7): the taped forward vs the
 		// fused forward-only engine on the single-sample serving fixture
 		// (single core). The CI perf gate requires ≥1.5× here.

@@ -24,8 +24,8 @@ import (
 // Because the spike kernels are bit-identical to the dense kernels on
 // binary inputs (and fall back to dense themselves when 0·NaN/0·Inf
 // propagation could be observed), the dispatch decision NEVER changes a
-// default-tier result — it is purely a speed choice, which is what lets
-// it be density-adaptive rather than part of the determinism contract.
+// result — it is purely a speed choice, which is what lets it be
+// density-adaptive rather than part of the determinism contract.
 // The policy lives in internal/compute so both internal/tensor and
 // internal/autodiff can consult it without an import cycle; density
 // travels as a plain float64 for the same reason.

@@ -2,78 +2,6 @@ package compute
 
 import "testing"
 
-func TestParsePrecision(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Precision
-	}{
-		{"", Float64},
-		{"float64", Float64},
-		{"exact", Float64},
-		{"default", Float64},
-		{"float32", Float32},
-		{"fast", Float32},
-	} {
-		got, err := ParsePrecision(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"float16", "FAST", "f32", "double"} {
-		if _, err := ParsePrecision(bad); err == nil {
-			t.Errorf("ParsePrecision(%q) accepted", bad)
-		}
-	}
-}
-
-func TestPrecisionTagRoundTrips(t *testing.T) {
-	for _, p := range []Precision{Float64, Float32} {
-		got, err := ParsePrecision(p.Tag())
-		if err != nil || got != p {
-			t.Errorf("ParsePrecision(%v.Tag()=%q) = %v, %v", p, p.Tag(), got, err)
-		}
-	}
-	if Float64.Tag() != "" {
-		t.Errorf("default tier must wire as the empty tag, got %q", Float64.Tag())
-	}
-}
-
-func TestSetPrecision(t *testing.T) {
-	defer SetPrecision(Float64)
-	if FastTier() {
-		t.Fatal("fast tier active by default")
-	}
-	SetPrecision(Float32)
-	if !FastTier() || ActivePrecision() != Float32 {
-		t.Fatal("SetPrecision(Float32) not observed")
-	}
-	SetPrecision(Float64)
-	if FastTier() {
-		t.Fatal("SetPrecision(Float64) did not restore the default tier")
-	}
-}
-
-func TestFloat32Pool(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 64, 1000, 1 << 10} {
-		s := GetFloat32(n)
-		if len(s) != n {
-			t.Fatalf("GetFloat32(%d) returned len %d", n, len(s))
-		}
-		PutFloat32(s)
-		s = GetFloat32(n)
-		if len(s) != n {
-			t.Fatalf("recycled GetFloat32(%d) returned len %d", n, len(s))
-		}
-		PutFloat32(s)
-	}
-	// Oversized buffers bypass the pool but must still be exact-length.
-	big := GetFloat32(1<<maxBucket + 1)
-	if len(big) != 1<<maxBucket+1 {
-		t.Fatalf("oversized GetFloat32 returned len %d", len(big))
-	}
-	PutFloat32(big) // must not panic
-}
-
 func TestDispatchPolicyValidate(t *testing.T) {
 	if err := DefaultDispatchPolicy().Validate(); err != nil {
 		t.Fatalf("default policy invalid: %v", err)

@@ -173,4 +173,10 @@ func TestReadJSONRejectsBadShape(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(unknown)); err == nil {
 		t.Error("unknown fields accepted")
 	}
+	// Points computed by float32-era builds carry a precision tag; they
+	// must not load into a result of this build.
+	tagged := `{"vths":[1],"ts":[1],"epsilons":[1],"points":[{"vth":1,"t":1,"clean_accuracy":0.5,"learnable":false,"precision":"float32"}]}`
+	if _, err := ReadJSON(strings.NewReader(tagged)); err == nil {
+		t.Error("point with a precision tag accepted")
+	}
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -8,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"snnsec/internal/compute"
 	"snnsec/internal/explore"
 	"snnsec/internal/faultinject"
 )
@@ -48,10 +48,6 @@ type manifest struct {
 	Vths        []float64 `json:"vths"`
 	Ts          []int     `json:"ts"`
 	Epsilons    []float64 `json:"epsilons"`
-	// Precision pins the numerics tier the checkpoint was computed at
-	// (compute.Precision.Tag; empty = default tier), so a resume at a
-	// different tier is rejected instead of producing a mixed result.
-	Precision string `json:"precision,omitempty"`
 }
 
 // pointEnvelope is the on-disk frame of one checkpointed point: the raw
@@ -87,13 +83,17 @@ func initCheckpoint(dir string, spec Spec, cfg *explore.Config, resume bool) (*c
 		Vths:        cfg.Vths,
 		Ts:          cfg.Ts,
 		Epsilons:    cfg.Epsilons,
-		Precision:   compute.ActivePrecision().Tag(),
 	}
 	path := filepath.Join(dir, manifestName)
 	if raw, err := os.ReadFile(path); err == nil {
+		// Strict decoding refuses manifests carrying fields this build
+		// does not write (e.g. the float32 tier's "precision"), whose
+		// points must not merge into a result of this build.
 		var have manifest
-		if err := json.Unmarshal(raw, &have); err != nil {
-			return nil, fmt.Errorf("grid: corrupt checkpoint manifest %s: %w", path, err)
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&have); err != nil {
+			return nil, fmt.Errorf("grid: corrupt or incompatible checkpoint manifest %s: %w", path, err)
 		}
 		if have.Version != manifestVersion {
 			return nil, fmt.Errorf("grid: checkpoint %s uses format version %d, this build writes %d — finish it with the matching build or start fresh",
@@ -106,10 +106,6 @@ func initCheckpoint(dir string, spec Spec, cfg *explore.Config, resume bool) (*c
 			}
 			return nil, fmt.Errorf("grid: checkpoint %s belongs to a different job (builder %q, fingerprint %q…)",
 				dir, have.Builder, short)
-		}
-		if have.Precision != want.Precision {
-			return nil, fmt.Errorf("grid: checkpoint %s was computed at precision %q, this run is %q — mixed-tier results cannot be merged",
-				dir, orDefault(have.Precision), orDefault(want.Precision))
 		}
 		if !resume {
 			return nil, fmt.Errorf("grid: checkpoint %s already exists; pass resume to continue it", dir)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,12 +66,8 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Launch starts the shard workers; required.
 	Launch Launcher
-	// Log, when non-nil, receives progress lines.
-	Log io.Writer
-	// Logger, when non-nil, replaces Log with a leveled sink: progress at
-	// info, retries/stalls/quarantines at warn, per-point detail at info.
-	// When nil, Log is wrapped at the info level, so existing callers see
-	// exactly the output they always did.
+	// Logger, when non-nil, receives progress at info, per-point detail
+	// at info and retries/stalls/quarantines at warn.
 	Logger *obs.Logger
 	// ProgressEvery is the period of the coordinator's progress line
 	// (completed/total, elapsed, ETA) and of the heartbeat-age gauge
@@ -110,9 +105,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 	// mirroring the workers.
 	faultinject.Reseed(cfg.Seed)
 	lg := opts.Logger
-	if lg == nil {
-		lg = obs.NewLogger(opts.Log, obs.LevelInfo)
-	}
 	if opts.Launch == nil {
 		return nil, fmt.Errorf("grid: no launcher configured")
 	}
@@ -353,7 +345,6 @@ func (co *coordinator) serveShard(shard int, t Transport) (err error) {
 		Spec:          co.spec.Config,
 		KernelWorkers: co.kernelWorkers,
 		WantModel:     co.wantModel,
-		Precision:     compute.ActivePrecision().Tag(),
 		HeartbeatMS:   hbMS,
 	}); err != nil {
 		return fmt.Errorf("grid: shard %d hello: %w", shard, err)
@@ -487,17 +478,6 @@ func (co *coordinator) pointFailed(shard, idx int, cause string) {
 func (co *coordinator) record(shard int, m message) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	// The merged result must be single-tier: mixing bit-exact and fast
-	// points would silently void the bit-identical-merge contract, so a
-	// point computed at any other tier than this run's is fatal.
-	if want := compute.ActivePrecision().Tag(); m.Point.Precision != want {
-		err := fmt.Errorf("grid: shard %d computed point %d at precision %q, run is %q — mixed-tier merges are rejected",
-			shard, m.Index, orDefault(m.Point.Precision), orDefault(want))
-		if co.fatal == nil {
-			co.fatal = err
-		}
-		return err
-	}
 	co.res.Set(m.Index, m.Point.Point())
 	co.completed++
 	if co.ck != nil {
@@ -548,14 +528,6 @@ func (co *coordinator) progressLoop(every time.Duration, stop <-chan struct{}) {
 		co.lg.Infof("grid: progress %d/%d points, %v elapsed%s",
 			co.resumed+done, co.total, elapsed.Round(time.Second), eta)
 	}
-}
-
-// orDefault spells the empty precision tag out for error messages.
-func orDefault(tag string) string {
-	if tag == "" {
-		return "float64"
-	}
-	return tag
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
 	"snnsec/internal/nn"
+	"snnsec/internal/obs"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
 	"snnsec/internal/train"
@@ -302,7 +304,7 @@ func TestKilledRunResumes(t *testing.T) {
 		Shards:        2,
 		CheckpointDir: dir,
 		Launch:        inProcLauncher(),
-		Log:           cancelOnFirstPoint{cancel: cancel},
+		Logger:        obs.NewLogger(cancelOnFirstPoint{cancel: cancel}, obs.LevelInfo),
 	})
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
@@ -378,6 +380,31 @@ func TestCheckpointGuards(t *testing.T) {
 		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
 	}); err == nil {
 		t.Error("checkpoint of a different job accepted")
+	}
+	// A manifest carrying a field this build does not write — the
+	// "precision" tag of float32-era builds — must be refused on resume;
+	// the untouched manifest must still resume.
+	path := filepath.Join(dir, manifestName)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagged := bytes.Replace(orig, []byte("{"), []byte(`{"precision":"float32",`), 1)
+	if err := os.WriteFile(path, tagged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), spec, Options{
+		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
+	}); err == nil || !strings.Contains(err.Error(), "precision") {
+		t.Errorf("checkpoint manifest with a precision tag: err = %v, want refusal naming the field", err)
+	}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), spec, Options{
+		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
+	}); err != nil {
+		t.Errorf("untouched checkpoint no longer resumes: %v", err)
 	}
 }
 

@@ -58,12 +58,6 @@ type message struct {
 	// WantModel asks the worker to attach a modelio snapshot of each
 	// successfully trained point (for checkpoint model files).
 	WantModel bool `json:"want_model,omitempty"`
-	// Precision is the numerics tier (compute.Precision.Tag) the worker
-	// must compute at — empty for the default bit-exact tier. Pinning
-	// the tier in the hello is what keeps a sharded sweep single-tier:
-	// every point either carries the coordinator's tier or is rejected
-	// at merge time.
-	Precision string `json:"precision,omitempty"`
 	// HeartbeatMS is the interval (milliseconds) at which the worker
 	// must send heartbeat messages while computing a point; 0 disables
 	// heartbeats (and the coordinator's stall detection with them).

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"snnsec/internal/faultinject"
+	"snnsec/internal/obs"
 )
 
 // installFaults activates a fault spec for the duration of the test.
@@ -63,7 +64,7 @@ func TestStalledWorkerPointWithdrawn(t *testing.T) {
 		Launch:       inProcLauncher(),
 		StallTimeout: 100 * time.Millisecond,
 		RetryBackoff: -1, // requeue immediately
-		Log:          &log,
+		Logger:       obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("run with stalled worker failed: %v\n%s", err, log.String())
@@ -88,7 +89,7 @@ func TestTransientPointFailuresRetried(t *testing.T) {
 		Shards:       1,
 		Launch:       inProcLauncher(),
 		RetryBackoff: -1,
-		Log:          &log,
+		Logger:       obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("run with transient failures failed: %v\n%s", err, log.String())
@@ -115,7 +116,7 @@ func TestPoisonPointQuarantined(t *testing.T) {
 		Launch:          inProcLauncher(),
 		MaxPointRetries: 1,
 		RetryBackoff:    -1,
-		Log:             &log,
+		Logger:          obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("run with poison point failed outright: %v\n%s", err, log.String())
@@ -175,7 +176,7 @@ func TestCorruptCheckpointFilesQuarantinedOnResume(t *testing.T) {
 	var log syncBuffer
 	res, err := Run(context.Background(), spec, Options{
 		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
-		Log: &log,
+		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("resume over corrupt files failed: %v\n%s", err, log.String())
@@ -220,7 +221,7 @@ func TestTornCheckpointWriteDetectedOnResume(t *testing.T) {
 	var log syncBuffer
 	res, err = Run(context.Background(), spec, Options{
 		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
-		Log: &log,
+		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("resume over torn write failed: %v\n%s", err, log.String())

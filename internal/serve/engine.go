@@ -6,9 +6,9 @@
 //
 // The engine mirrors the taped forward pass kernel for kernel — same
 // density-adaptive sparse-vs-dense dispatch per call, same fused LIF
-// threshold/pack pass, same accumulation order — so default-tier logits
-// are bit-identical to train.Predict's (pinned by the forward-
-// equivalence suite in engine_test.go). What it drops is everything the
+// threshold/pack pass, same accumulation order — so its logits are
+// bit-identical to train.Predict's (pinned by the forward-equivalence
+// suite in engine_test.go). What it drops is everything the
 // tape exists for: node and Value allocations, surrogate passes,
 // retained per-timestep activations. Membrane, spike and accumulator
 // state live in backend-arena slabs reused across all T timesteps.
@@ -175,8 +175,8 @@ func checkSupported(l nn.Layer) error {
 func (e *Engine) SampleShape() []int { return append([]int(nil), e.sample...) }
 
 // Logits runs the forward pass on x [N, sample...] and returns the
-// [N, classes] scores. At the default precision tier the result is
-// bit-identical to the taped train.Predict logits.
+// [N, classes] scores, bit-identical to the taped train.Predict
+// logits.
 func (e *Engine) Logits(x *tensor.Tensor) (out *tensor.Tensor, err error) {
 	if err := e.checkInput(x); err != nil {
 		return nil, err

@@ -14,10 +14,10 @@ import (
 )
 
 // The forward-equivalence harness: the tape-free engine must reproduce
-// the taped forward (train.LogitsOn) bit for bit at the default
-// precision tier, across neuron models, readout modes, topologies,
-// spike densities and backends. This is the pin that lets every other
-// serve feature (batching, caching, the CLI) trust the engine.
+// the taped forward (train.LogitsOn) bit for bit, across neuron models,
+// readout modes, topologies, spike densities and backends. This is the
+// pin that lets every other serve feature (batching, caching, the CLI)
+// trust the engine.
 
 const (
 	eqC    = 1 // input channels
@@ -191,30 +191,6 @@ func TestForwardEquivalenceDenseDispatch(t *testing.T) {
 			taped, free := runBoth(t, eqNetwork(top, false, snn.ReadoutSpikeCount, 0.5), nil, x)
 			assertBitIdentical(t, taped, free)
 		})
-	}
-}
-
-// TestForwardEquivalenceFloat32 runs the same grid on the opt-in fast
-// tier, where the contract loosens from bit-identity to a 1e-3
-// tolerance.
-func TestForwardEquivalenceFloat32(t *testing.T) {
-	compute.SetPrecision(compute.Float32)
-	defer compute.SetPrecision(compute.Float64)
-	x := eqInput()
-	for _, top := range eqTopologies {
-		for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
-			name := fmt.Sprintf("%s/%s", top.name, mode)
-			t.Run(name, func(t *testing.T) {
-				taped, free := runBoth(t, eqNetwork(top, false, mode, 0.5), nil, x)
-				td, fd := taped.Data(), free.Data()
-				for i := range td {
-					tol := 1e-3 * math.Max(1, math.Abs(td[i]))
-					if math.Abs(td[i]-fd[i]) > tol {
-						t.Fatalf("logit %d: taped %v vs tape-free %v exceeds %v", i, td[i], fd[i], tol)
-					}
-				}
-			})
-		}
 	}
 }
 

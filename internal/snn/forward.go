@@ -15,7 +15,7 @@ import (
 // engine draws from the backend arena and reuses across timesteps, so a
 // T-step forward touches a fixed working set instead of T tapes' worth
 // of activations. Because every float expression is the taped producer's
-// verbatim, default-tier results are bit-identical to the taped forward
+// verbatim, the results are bit-identical to the taped forward
 // (pinned by the forward-equivalence suite in internal/serve).
 
 // ForwardEncoder is implemented by encoders that can emit a timestep
@@ -106,7 +106,7 @@ func (e LatencyEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t in
 // population whose spikes only feed an elementwise accumulator.
 //
 // The per-element expressions are LIFStep's verbatim, so the results are
-// bit-identical to the taped step at the default tier.
+// bit-identical to the taped step.
 func FusedLIFForward(be compute.Backend, cfg NeuronConfig, cur, mem, spk []float64, rows int, bits []uint64, counts []int) {
 	if err := (&cfg).Validate(); err != nil {
 		panic(err)

@@ -16,11 +16,11 @@
 // protocol: one connection, many windowed results, graceful drain.
 //
 // Equivalence contract: a single full-window stream run is bit-identical
-// at the default precision tier to the batch serve engine (and the taped
-// forward) fed the same binned planes through snn.SpikeTrainEncoder, and
-// a carried-state run's cumulative logits are bit-identical to a
-// from-scratch run over the concatenated windows — pinned by the suite
-// in internal/serve/stateful_test.go and equivalence_test.go here.
+// to the batch serve engine (and the taped forward) fed the same binned
+// planes through snn.SpikeTrainEncoder, and a carried-state run's
+// cumulative logits are bit-identical to a from-scratch run over the
+// concatenated windows — pinned by the suite in
+// internal/serve/stateful_test.go and equivalence_test.go here.
 package stream
 
 // Event is one sensor event: something changed at pixel (X, Y) at

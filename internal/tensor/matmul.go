@@ -109,10 +109,6 @@ func matMulInto(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip 
 	if k == 0 {
 		return
 	}
-	if compute.FastTier() {
-		matMulFastInto(be, dst, a, b, m, k, n)
-		return
-	}
 	rblocks := (m + asmRows - 1) / asmRows
 	be.ParallelFor(rblocks, grainRows(2*k*n*asmRows), func(lo, hi int) {
 		gate := skipGate{b: b}
@@ -277,10 +273,6 @@ func MatMulATBOn(be compute.Backend, a, b *Tensor) *Tensor {
 // of along a row).
 func matMulATBInto(be compute.Backend, dst, a, b []float64, k, m, n int, allowSkip bool) {
 	if k == 0 {
-		return
-	}
-	if compute.FastTier() {
-		matMulATBFastInto(be, dst, a, b, k, m, n)
 		return
 	}
 	rblocks := (m + asmRows - 1) / asmRows
