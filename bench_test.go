@@ -43,15 +43,53 @@ import (
 
 var (
 	sweepOnce sync.Once
-	sweepVal  *explore.Sweep
-	sweepTest *dataset.Dataset
+	sweepVal  *trainedGrid
 	sweepErr  error
 )
+
+// trainedGrid is the (Vth, T) grid after training. It keeps the networks,
+// so Figures 7, 8 and 9 attack them at any ε without retraining.
+type trainedGrid struct {
+	cfg    explore.Config
+	points []explore.TrainedPoint
+	testDS *dataset.Dataset
+}
+
+// trainGrid trains every grid point through explore.TrainPointAt, one
+// point at a time on kernels of the full CPU budget.
+func trainGrid(s core.Scale, trainDS, testDS *dataset.Dataset) (*trainedGrid, error) {
+	cfg := s.GridConfig()
+	cfg.Workers = 1
+	g := &trainedGrid{cfg: cfg, points: make([]explore.TrainedPoint, len(cfg.Vths)*len(cfg.Ts)), testDS: testDS}
+	for idx := range g.points {
+		tp, err := explore.TrainPointAt(cfg, nil, idx, trainDS, testDS)
+		if err != nil {
+			return nil, err
+		}
+		g.points[idx] = tp
+	}
+	return g, nil
+}
+
+// attack evaluates PGD robustness of every trained point at the given
+// budgets and assembles the grid result.
+func (g *trainedGrid) attack(b *testing.B, epsilons []float64) *explore.Result {
+	b.Helper()
+	res := explore.NewPartialResult(g.cfg.Vths, g.cfg.Ts, epsilons)
+	for idx := range g.points {
+		pt, err := explore.AttackPointAt(g.cfg, nil, idx, &g.points[idx], g.testDS, epsilons)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Set(idx, pt)
+	}
+	return res
+}
 
 // sharedSweep trains the (Vth, T) grid once per process; Figures 7, 8 and
 // 9 reuse it so the benchmark suite does not retrain the same 12 networks
 // three times.
-func sharedSweep(b *testing.B) (*explore.Sweep, *dataset.Dataset) {
+func sharedSweep(b *testing.B) *trainedGrid {
 	b.Helper()
 	sweepOnce.Do(func() {
 		s := core.ScaleFromEnv()
@@ -60,36 +98,12 @@ func sharedSweep(b *testing.B) (*explore.Sweep, *dataset.Dataset) {
 			sweepErr = err
 			return
 		}
-		sweepTest = testDS
-		sweepVal, sweepErr = explore.TrainGrid(gridConfig(s), trainDS, testDS)
+		sweepVal, sweepErr = trainGrid(s, trainDS, testDS)
 	})
 	if sweepErr != nil {
 		b.Fatal(sweepErr)
 	}
-	return sweepVal, sweepTest
-}
-
-func gridConfig(s core.Scale) explore.Config {
-	return explore.Config{
-		Vths:              s.Vths,
-		Ts:                s.Ts,
-		Epsilons:          s.HeatmapEpsilons,
-		AccuracyThreshold: 0.70,
-		Train: train.Config{
-			Epochs:    s.Epochs,
-			BatchSize: s.BatchSize,
-			GradClip:  s.GradClip,
-			Shuffle:   tensor.NewRand(s.Seed, 0x5f),
-		},
-		NewOptimizer: func() train.Optimizer { return train.NewAdam(s.LR) },
-		AttackSteps:  s.AttackSteps,
-		EvalBatch:    s.EvalBatch,
-		Workers:      s.Workers,
-		Seed:         s.Seed,
-		Build: func(vth float64, T int) (*snn.Network, error) {
-			return core.NewSpikingLeNet5(s.Net, vth, T, core.SNNOptions{})
-		},
-	}
+	return sweepVal
 }
 
 // ---------------------------------------------------------------------------
@@ -128,26 +142,20 @@ func BenchmarkFig6LearnabilityHeatmap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := gridConfig(s)
-	var sw *explore.Sweep
+	var g *trainedGrid
 	for i := 0; i < b.N; i++ {
-		sw, err = explore.TrainGrid(cfg, trainDS, testDS)
+		g, err = trainGrid(s, trainDS, testDS)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	// Publish for the dependent figure benchmarks.
-	sweepOnce.Do(func() { sweepVal, sweepTest = sw, testDS })
-	res := sw.AttackAll(testDS, nil)
+	sweepOnce.Do(func() { sweepVal = g })
+	res := g.attack(b, nil)
 	fmt.Println()
 	report.AccuracyGrid(res).WriteASCII(os.Stdout)
-	learnable := 0
-	for i := range sw.Points {
-		if sw.Points[i].Learnable {
-			learnable++
-		}
-	}
-	fmt.Printf("learnable points: %d/%d (Ath = 0.70)\n", learnable, len(sw.Points))
+	learnable := res.LearnableCount()
+	fmt.Printf("learnable points: %d/%d (Ath = 0.70)\n", learnable, len(res.Points))
 	b.ReportMetric(float64(learnable), "learnable_points")
 }
 
@@ -155,11 +163,11 @@ func BenchmarkFig6LearnabilityHeatmap(b *testing.B) {
 // Figures 7 and 8 — robustness heat maps at ε = 1.0 and ε = 1.5
 
 func robustnessHeatmapBench(b *testing.B, eps float64) {
-	sw, testDS := sharedSweep(b)
+	g := sharedSweep(b)
 	b.ResetTimer()
 	var res *explore.Result
 	for i := 0; i < b.N; i++ {
-		res = sw.AttackAll(testDS, []float64{eps})
+		res = g.attack(b, []float64{eps})
 	}
 	b.StopTimer()
 	fmt.Println()
@@ -191,8 +199,7 @@ func BenchmarkFig8RobustnessHeatmapEps15(b *testing.B) { robustnessHeatmapBench(
 
 func BenchmarkFig9RobustnessCurves(b *testing.B) {
 	s := core.ScaleFromEnv()
-	sw, testDS := sharedSweep(b)
-	full := sw.AttackAll(testDS, s.HeatmapEpsilons)
+	full := sharedSweep(b).attack(b, s.HeatmapEpsilons)
 	combos := core.SelectFig9Combos(full)
 	b.ResetTimer()
 	var res *core.Fig9Result
@@ -224,14 +231,10 @@ func BenchmarkAlgorithm1Exploration(b *testing.B) {
 	s := core.ScaleFromEnv()
 	s.Vths = s.Vths[:2]
 	s.Ts = s.Ts[:2]
-	trainDS, testDS, err := core.LoadData(s.Data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := gridConfig(s)
 	var res *explore.Result
+	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = explore.Run(cfg, trainDS, testDS)
+		res, err = core.RunGrid(s, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

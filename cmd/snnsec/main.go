@@ -28,18 +28,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	snnsec "snnsec"
 	"snnsec/internal/analysis"
 	"snnsec/internal/attack"
 	"snnsec/internal/compute"
 	"snnsec/internal/core"
-	"snnsec/internal/explore"
 	"snnsec/internal/faultinject"
 	"snnsec/internal/grid"
 	"snnsec/internal/modelio"
@@ -167,8 +164,9 @@ func usage() {
 subcommands:
   fig1     motivational CNN-vs-SNN robustness curves (Figure 1)
   grid     (Vth, T) learnability and robustness heat maps (Figures 6-8);
-           -shards n distributes the sweep over grid-worker subprocesses
-           with durable -checkpoint-dir checkpoints and -resume; failure
+           -shards n runs the workers as grid-worker subprocesses
+           instead of in-process; either way the sweep keeps durable
+           -checkpoint-dir checkpoints for -resume, and failure
            handling is tuned by -stall-timeout (withdraw a silent
            worker's point), -max-point-retries (quarantine a poison
            point after this many retries) and -retry-backoff
@@ -248,8 +246,8 @@ func cmdGrid(args []string) error {
 	fs := flag.NewFlagSet("grid", flag.ContinueOnError)
 	csvDir := fs.String("csv", "", "directory to write fig6/fig7/fig8 CSV files into")
 	jsonPath := fs.String("json", "", "path to write the full grid result as JSON")
-	shards := fs.Int("shards", 0, "distribute the sweep over this many grid-worker subprocesses (0 runs in-process)")
-	ckptDir := fs.String("checkpoint-dir", "", "directory to persist per-point results (and model snapshots) for resume; requires -shards")
+	shards := fs.Int("shards", 0, "distribute the sweep over this many grid-worker subprocesses (0 runs in-process workers)")
+	ckptDir := fs.String("checkpoint-dir", "", "directory to persist per-point results (and model snapshots) for resume")
 	resume := fs.Bool("resume", false, "resume a previous run from -checkpoint-dir, computing only the missing points")
 	maxPoints := fs.Int("max-points", 0, "compute at most this many new points this invocation (0 = all); the partial result is resumable")
 	stallTimeout := fs.Duration("stall-timeout", 0,
@@ -274,31 +272,37 @@ func cmdGrid(args []string) error {
 	}
 	defer stopMetrics()
 	s := core.ScaleFromEnv()
-	var res *explore.Result
-	if *shards > 0 {
-		res, err = runDistributedGrid(s, gridRunOptions{
-			shards: *shards, ckptDir: *ckptDir, resume: *resume, maxPoints: *maxPoints,
-			stallTimeout: *stallTimeout, maxRetries: *maxRetries, retryBackoff: *retryBackoff,
-			logger: lg,
-		})
-	} else {
-		if *ckptDir != "" || *resume || *maxPoints > 0 {
-			return fmt.Errorf("grid: -checkpoint-dir/-resume/-max-points require -shards")
-		}
-		if *stallTimeout != 0 || *maxRetries != 0 || *retryBackoff != 0 {
-			return fmt.Errorf("grid: -stall-timeout/-max-point-retries/-retry-backoff require -shards")
-		}
-		// The in-process sweep logs free-form progress; honour the level
-		// by silencing it entirely below info.
-		progress := io.Writer(os.Stderr)
-		if !lg.Enabled(obs.LevelInfo) {
-			progress = io.Discard
-		}
-		res, err = core.RunGrid(s, progress)
-	}
+	spec, err := s.GridSpec()
 	if err != nil {
 		return err
 	}
+	// One scheduler for every sweep; only where the workers run differs.
+	launch := grid.InProcess()
+	if *shards > 0 {
+		// Local grid-worker subprocesses: the binary re-executes itself,
+		// and the coordinator splits the global -workers budget across them.
+		self, err := os.Executable()
+		if err != nil {
+			return fmt.Errorf("grid: locating own binary to spawn workers: %w", err)
+		}
+		launch = grid.ExecLauncher(self, "grid-worker")
+	}
+	res, err := grid.Run(context.Background(), spec, grid.Options{
+		Shards:          *shards,
+		CheckpointDir:   *ckptDir,
+		Resume:          *resume,
+		SnapshotModels:  *ckptDir != "",
+		MaxPoints:       *maxPoints,
+		StallTimeout:    *stallTimeout,
+		MaxPointRetries: *maxRetries,
+		RetryBackoff:    *retryBackoff,
+		Launch:          launch,
+		Logger:          lg,
+	})
+	if err != nil {
+		return err
+	}
+	lg.Infof("grid: %d/%d points learnable (Ath=0.70)", res.LearnableCount(), len(res.Points))
 	if missing := res.MissingIndices(); len(missing) > 0 {
 		lg.Warnf("grid: partial result, %d/%d points computed (resume with -resume -checkpoint-dir to finish)",
 			len(res.Points)-len(missing), len(res.Points))
@@ -338,44 +342,6 @@ func cmdGrid(args []string) error {
 		lg.Infof("wrote %d CSV files to %s", len(grids), *csvDir)
 	}
 	return nil
-}
-
-// gridRunOptions carries the distributed-grid flag values.
-type gridRunOptions struct {
-	shards       int
-	ckptDir      string
-	resume       bool
-	maxPoints    int
-	stallTimeout time.Duration
-	maxRetries   int
-	retryBackoff time.Duration
-	logger       *obs.Logger
-}
-
-// runDistributedGrid shards the sweep across local grid-worker
-// subprocesses (the binary re-executes itself), splitting the global
-// -workers CPU budget across them.
-func runDistributedGrid(s core.Scale, o gridRunOptions) (*explore.Result, error) {
-	spec, err := s.GridSpec()
-	if err != nil {
-		return nil, err
-	}
-	self, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("grid: locating own binary to spawn workers: %w", err)
-	}
-	return grid.Run(context.Background(), spec, grid.Options{
-		Shards:          o.shards,
-		CheckpointDir:   o.ckptDir,
-		Resume:          o.resume,
-		SnapshotModels:  o.ckptDir != "",
-		MaxPoints:       o.maxPoints,
-		StallTimeout:    o.stallTimeout,
-		MaxPointRetries: o.maxRetries,
-		RetryBackoff:    o.retryBackoff,
-		Launch:          grid.ExecLauncher(self, "grid-worker"),
-		Logger:          o.logger,
-	})
 }
 
 // cmdGridWorker serves one shard of a distributed grid run over

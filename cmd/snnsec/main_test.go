@@ -98,7 +98,7 @@ func TestTrainBadModelKind(t *testing.T) {
 // TestGridShardedCLISmoke is the end-to-end distributed smoke: a
 // two-shard run with real grid-worker subprocesses, sliced by
 // -max-points, killed (by exhausting its budget), resumed — and the
-// final merged JSON must be byte-identical to the single-process run's.
+// final merged JSON must be byte-identical to the in-process run's.
 func TestGridShardedCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess grid smoke in -short mode")
@@ -117,9 +117,9 @@ func TestGridShardedCLISmoke(t *testing.T) {
 	if err := run([]string{"grid", "-shards", "2", "-checkpoint-dir", ckpt, "-resume", "-json", distJSON}); err != nil {
 		t.Fatalf("resumed sharded grid: %v", err)
 	}
-	// Single-process reference.
+	// In-process reference.
 	if err := run([]string{"grid", "-json", singleJSON}); err != nil {
-		t.Fatalf("single-process grid: %v", err)
+		t.Fatalf("in-process grid: %v", err)
 	}
 	dist, err := os.ReadFile(distJSON)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestGridShardedCLISmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dist, single) {
-		t.Errorf("sharded+resumed result differs from single-process run:\n got: %s\nwant: %s", dist, single)
+		t.Errorf("sharded+resumed result differs from in-process run:\n got: %s\nwant: %s", dist, single)
 	}
 	// The checkpoint holds one point file and one model snapshot per
 	// grid point.
@@ -152,9 +152,41 @@ func TestGridShardedCLISmoke(t *testing.T) {
 	}
 }
 
-func TestGridFlagsRequireShards(t *testing.T) {
+// TestGridInProcessResumeMatchesSharded: checkpointing, budgets and
+// resume work without -shards — an in-process partial run resumed to
+// completion is byte-identical to a two-shard subprocess run.
+func TestGridInProcessResumeMatchesSharded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess grid smoke in -short mode")
+	}
+	t.Setenv(core.ScaleEnv, "tiny")
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	inprocJSON := filepath.Join(dir, "inproc.json")
+	distJSON := filepath.Join(dir, "dist.json")
+
 	if err := run([]string{"grid", "-resume"}); err == nil {
-		t.Error("-resume without -shards accepted")
+		t.Error("-resume without -checkpoint-dir accepted")
+	}
+	if err := run([]string{"grid", "-checkpoint-dir", ckpt, "-max-points", "2"}); err != nil {
+		t.Fatalf("partial in-process grid: %v", err)
+	}
+	if err := run([]string{"grid", "-checkpoint-dir", ckpt, "-resume", "-json", inprocJSON}); err != nil {
+		t.Fatalf("resumed in-process grid: %v", err)
+	}
+	if err := run([]string{"grid", "-shards", "2", "-json", distJSON}); err != nil {
+		t.Fatalf("sharded grid: %v", err)
+	}
+	inproc, err := os.ReadFile(inprocJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := os.ReadFile(distJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(inproc, dist) {
+		t.Errorf("in-process partial+resume result differs from the sharded run:\n got: %s\nwant: %s", inproc, dist)
 	}
 }
 

@@ -23,7 +23,9 @@
 //	internal/dataset   synthetic MNIST-like digits + MNIST IDX loader
 //	internal/train     optimisers, training loop, metrics
 //	internal/attack    FGSM, PGD, noise baselines, robustness evaluation
-//	internal/explore   Algorithm 1: learnability + robustness exploration
+//	internal/explore   Algorithm 1 per grid point: train, gate, PGD sweep
+//	internal/grid      the sweep scheduler: in-process or subprocess workers,
+//	                   retries, checkpoints and resume
 //	internal/report    heatmaps, curves, CSV/markdown rendering
 //	internal/modelio   model serialisation
 //	internal/obs       metrics, Prometheus exposition, leveled logging
@@ -37,7 +39,7 @@
 // scratch buffers through a sync.Pool. The two backends are
 // bit-identical by construction, and bounded-width backends let
 // kernel-level parallelism compose with the grid-level parallelism of
-// internal/explore without oversubscription. Convolution runs as a
+// internal/grid without oversubscription. Convolution runs as a
 // batched im2col pipeline — one matmul per batch rather than per image —
 // on top of cache-blocked, register-tiled matmul micro-kernels (AVX on
 // amd64, scalar tiles elsewhere) that are bit-identical to the naive

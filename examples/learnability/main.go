@@ -17,42 +17,30 @@ import (
 	"os"
 
 	"snnsec/internal/core"
-	"snnsec/internal/explore"
 	"snnsec/internal/report"
-	"snnsec/internal/snn"
-	"snnsec/internal/train"
 )
 
 func main() {
 	log.SetFlags(0)
-	trainDS, testDS, err := core.LoadData(core.DataConfig{TrainN: 400, TestN: 60, ImageSize: 16, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	net := core.DefaultLeNetConfig(16, 7)
-	cfg := explore.Config{
+	s := core.Scale{
+		Name: "learnability",
+		Data: core.DataConfig{TrainN: 400, TestN: 60, ImageSize: 16, Seed: 1},
+		Net:  core.DefaultLeNetConfig(16, 7),
 		// A deliberately wide threshold range: the highest value
 		// approaches the silent regime where too few spikes reach the
 		// readout within the window.
-		Vths:              []float64{0.5, 1, 3},
-		Ts:                []int{4, 12},
-		Epsilons:          []float64{1.0}, // unused cells are fine for a learnability-only view
-		AccuracyThreshold: 0.70,
-		Train: train.Config{
-			Epochs:    5,
-			BatchSize: 32,
-			GradClip:  5,
-		},
-		NewOptimizer: func() train.Optimizer { return train.NewAdam(3e-3) },
-		AttackSteps:  3,
-		EvalBatch:    32,
-		Build: func(vth float64, T int) (*snn.Network, error) {
-			return core.NewSpikingLeNet5(net, vth, T, core.SNNOptions{})
-		},
-		Seed: 42,
+		Vths:            []float64{0.5, 1, 3},
+		Ts:              []int{4, 12},
+		HeatmapEpsilons: []float64{1.0},
+		Epochs:          5,
+		BatchSize:       32,
+		LR:              3e-3,
+		GradClip:        5,
+		AttackSteps:     3,
+		EvalBatch:       32,
+		Seed:            42,
 	}
-	res, err := explore.Run(cfg, trainDS, testDS)
+	res, err := core.RunGrid(s, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

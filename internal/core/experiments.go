@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -8,7 +9,9 @@ import (
 	"snnsec/internal/attack"
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
+	"snnsec/internal/grid"
 	"snnsec/internal/nn"
+	"snnsec/internal/obs"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
 	"snnsec/internal/train"
@@ -240,9 +243,9 @@ func RunFig1(s Scale, logw io.Writer) (*Fig1Result, error) {
 // Figures 6, 7, 8 — the (Vth, T) exploration grid
 
 // GridConfig assembles the explore configuration of Algorithm 1 at this
-// scale. It is the single construction point shared by the in-process
-// RunGrid and the distributed grid job builder, so a sharded run
-// reproduces the single-process configuration exactly.
+// scale. The grid job builder registered for Scale specs (see GridSpec)
+// is its one caller on the sweep path, so every launcher runs the same
+// configuration.
 func (s Scale) GridConfig() explore.Config {
 	tcfg := s.trainConfig()
 	tcfg.Optimizer = nil // one optimiser per grid point, built below
@@ -265,16 +268,20 @@ func (s Scale) GridConfig() explore.Config {
 
 // RunGrid executes Algorithm 1 at this scale: it is the shared engine of
 // Figures 6 (clean-accuracy heat map), 7 and 8 (robustness heat maps).
+// The sweep runs through the grid coordinator with in-process workers,
+// one per grid worker of GridConfig. A non-nil logw receives the
+// coordinator's progress lines and a learnability summary.
 func RunGrid(s Scale, logw io.Writer) (*explore.Result, error) {
-	trainDS, testDS, err := LoadData(s.Data)
+	spec, err := s.GridSpec()
 	if err != nil {
 		return nil, err
 	}
-	res, err := explore.Run(s.GridConfig(), trainDS, testDS)
+	lg := obs.NewLogger(logw, obs.LevelInfo)
+	res, err := grid.Run(context.Background(), spec, grid.Options{Launch: grid.InProcess(), Logger: lg})
 	if err != nil {
 		return nil, err
 	}
-	logf(logw, "grid: %d/%d points learnable (Ath=0.70)\n", res.LearnableCount(), len(res.Points))
+	lg.Infof("grid: %d/%d points learnable (Ath=0.70)", res.LearnableCount(), len(res.Points))
 	return res, nil
 }
 

@@ -8,12 +8,12 @@ import (
 	"snnsec/internal/grid"
 )
 
-// The distributed grid engine ships a job to worker processes as a named
-// builder plus a JSON spec. A Scale is fully serialisable (plain fields,
-// and encoding/json round-trips float64 exactly), so it IS the spec: the
-// worker rebuilds the identical explore configuration and datasets from
-// it, which is what makes a sharded run bit-identical to the in-process
-// RunGrid.
+// The grid engine ships a job to its workers as a named builder plus a
+// JSON spec. A Scale is fully serialisable (plain fields, and
+// encoding/json round-trips float64 exactly), so it IS the spec: each
+// worker, in-process or a subprocess, rebuilds the identical explore
+// configuration and datasets from it, which is what makes every launcher
+// and shard count produce the same bytes.
 
 // ScaleBuilderName is the registered grid builder that interprets a
 // serialised Scale.

@@ -3,12 +3,12 @@
 // (Vth, T) grid it trains a spiking network, applies the learnability
 // gate (clean accuracy ≥ Ath, 70 % in the paper), and for each surviving
 // point evaluates robustness against PGD across a sweep of noise budgets
-// ε. Grid points are independent, so they run on a worker pool.
+// ε. Grid points are independent: this package computes one point at a
+// time, and internal/grid schedules the points of a sweep over workers.
 package explore
 
 import (
 	"fmt"
-	"sync"
 
 	"snnsec/internal/attack"
 	"snnsec/internal/compute"
@@ -43,9 +43,10 @@ type Config struct {
 	AttackSteps int
 	// EvalBatch is the evaluation batch size (default 32).
 	EvalBatch int
-	// Workers bounds the parallel grid points. The default is the CPU
-	// budget: the width of the process-default compute backend (NumCPU
-	// unless overridden, e.g. by the CLI's -workers flag).
+	// Workers bounds the parallel grid points; it is the grid
+	// coordinator's default shard count. The default is the CPU budget:
+	// the width of the process-default compute backend (NumCPU unless
+	// overridden, e.g. by the CLI's -workers flag).
 	Workers int
 	// KernelWorkers is the compute-backend width handed to each grid
 	// worker: the tensor kernels under one grid point run on a backend of
@@ -60,9 +61,9 @@ type Config struct {
 	Seed uint64
 }
 
-// Validate checks the configuration and fills defaulted fields. Run and
-// the per-point entry points call it internally; distributed coordinators
-// call it up front to learn the grid dimensions.
+// Validate checks the configuration and fills defaulted fields. The
+// per-point entry points call it internally; the grid coordinator calls
+// it up front to learn the grid dimensions and its worker budget.
 func (c *Config) Validate() error {
 	if len(c.Vths) == 0 || len(c.Ts) == 0 {
 		return fmt.Errorf("explore: empty (Vth, T) grid")
@@ -121,10 +122,6 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
-
-// backend returns the bounded-width compute backend each grid worker
-// executes its kernels on.
-func (c *Config) backend() compute.Backend { return compute.New(c.KernelWorkers) }
 
 // Point is the outcome at one (Vth, T) grid position.
 type Point struct {
@@ -236,57 +233,79 @@ type TrainedPoint struct {
 	Err           error
 }
 
-// Sweep holds the trained grid (phase 1 of Algorithm 1: lines 1-4).
-type Sweep struct {
-	Config Config
-	Points []TrainedPoint // T-major, like Result.Points
-}
+// ---------------------------------------------------------------------------
+// Per-point entry points — the unit of grid execution
+//
+// The grid engine (internal/grid) runs one point at a time on each of its
+// workers and merges the streamed results. The contract that makes the
+// merge bit-identical for any worker count is that every source of
+// randomness under a point — the training-set shuffle, the network's
+// weight initialisation and encoder stream (owned by cfg.Build), and the
+// PGD start points — derives from cfg.Seed and the point's T-major grid
+// index alone, never from shared or sequential state.
 
-// At returns the trained point for the vi-th threshold and ti-th window.
-func (s *Sweep) At(vi, ti int) *TrainedPoint {
-	return &s.Points[ti*len(s.Config.Vths)+vi]
-}
-
-// TrainGrid trains one network per (Vth, T) point on a worker pool and
-// applies the learnability gate — lines 1-4 of Algorithm 1.
-func TrainGrid(cfg Config, trainDS, testDS *dataset.Dataset) (*Sweep, error) {
-	if err := (&cfg).Validate(); err != nil {
+// checkPoint validates cfg and idx and resolves a nil backend to one of
+// cfg.KernelWorkers width.
+func (c *Config) checkPoint(be compute.Backend, idx int) (compute.Backend, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	sw := &Sweep{
-		Config: cfg,
-		Points: make([]TrainedPoint, len(cfg.Vths)*len(cfg.Ts)),
+	if n := len(c.Vths) * len(c.Ts); idx < 0 || idx >= n {
+		return nil, fmt.Errorf("explore: point index %d out of a %d-point grid", idx, n)
 	}
-	forEachPoint(cfg, func(vi, ti int, be compute.Backend) {
-		idx := ti*len(cfg.Vths) + vi
-		sw.Points[idx] = trainPoint(cfg, be, cfg.Vths[vi], cfg.Ts[ti], uint64(idx), trainDS, testDS)
-	})
-	return sw, nil
+	if be == nil {
+		be = compute.New(c.KernelWorkers)
+	}
+	return be, nil
 }
 
-// AttackAll evaluates PGD robustness at each ε for every learnable point
-// — lines 5-16 of Algorithm 1 — and assembles the grid Result. It can be
-// called repeatedly with different budgets on the same sweep.
-func (s *Sweep) AttackAll(testDS *dataset.Dataset, epsilons []float64) *Result {
-	cfg := s.Config
-	res := &Result{
-		Vths:     append([]float64(nil), cfg.Vths...),
-		Ts:       append([]int(nil), cfg.Ts...),
-		Epsilons: append([]float64(nil), epsilons...),
-		Points:   make([]Point, len(s.Points)),
+// TrainPointAt validates cfg and trains the idx-th grid point (T-major)
+// on be — lines 3-4 of Algorithm 1 for a single point. A nil backend
+// selects a backend of cfg.KernelWorkers width.
+func TrainPointAt(cfg Config, be compute.Backend, idx int, trainDS, testDS *dataset.Dataset) (TrainedPoint, error) {
+	be, err := cfg.checkPoint(be, idx)
+	if err != nil {
+		return TrainedPoint{}, err
 	}
-	bounds := attack.DatasetBounds(testDS)
-	forEachPoint(cfg, func(vi, ti int, be compute.Backend) {
-		idx := ti*len(cfg.Vths) + vi
-		res.Points[idx] = attackPoint(cfg, be, idx, &s.Points[idx], testDS, epsilons, bounds)
-	})
-	return res
+	vth, T := cfg.Vths[idx%len(cfg.Vths)], cfg.Ts[idx/len(cfg.Vths)]
+	pt := TrainedPoint{Vth: vth, T: T}
+	net, err := cfg.Build(vth, T)
+	if err != nil {
+		pt.Err = fmt.Errorf("explore: build (Vth=%g, T=%d): %w", vth, T, err)
+		return pt, nil
+	}
+	// Each point trains on its own copy of the training set: train.Fit
+	// may shuffle, and the dataset is shared across goroutines.
+	localTrain := trainDS.Subset(0, trainDS.Len())
+	tcfg := cfg.Train
+	tcfg.Backend = be
+	if cfg.NewOptimizer != nil {
+		tcfg.Optimizer = cfg.NewOptimizer()
+	}
+	if tcfg.Shuffle != nil {
+		// Derive an independent deterministic stream per point.
+		tcfg.Shuffle = tensor.NewRand(cfg.Seed^uint64(idx), 0x7ea1)
+	}
+	if _, err := train.Fit(net, localTrain, tcfg); err != nil {
+		pt.Err = fmt.Errorf("explore: train (Vth=%g, T=%d): %w", vth, T, err)
+		return pt, nil
+	}
+	pt.Net = net
+	pt.CleanAccuracy = train.EvaluateOn(be, net, testDS, cfg.EvalBatch)
+	pt.Learnable = pt.CleanAccuracy >= cfg.AccuracyThreshold
+	return pt, nil
 }
 
-// attackPoint runs lines 5-16 of Algorithm 1 for one trained point. The
-// PGD generator derives from (cfg.Seed, idx) alone, so the outcome does
-// not depend on which worker — goroutine or process — executes it.
-func attackPoint(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, testDS *dataset.Dataset, epsilons []float64, bounds attack.Bounds) Point {
+// AttackPointAt evaluates the robustness sweep (lines 5-16) for a point
+// trained by TrainPointAt and assembles its grid Point. It can be called
+// repeatedly with different budgets on the same trained point. The PGD
+// generator derives from (cfg.Seed, idx) alone, so the outcome does not
+// depend on which worker executes it.
+func AttackPointAt(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, testDS *dataset.Dataset, epsilons []float64) (Point, error) {
+	be, err := cfg.checkPoint(be, idx)
+	if err != nil {
+		return Point{}, err
+	}
 	pt := Point{
 		Vth:           tp.Vth,
 		T:             tp.T,
@@ -295,6 +314,7 @@ func attackPoint(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, test
 		Err:           tp.Err,
 	}
 	if tp.Learnable && tp.Err == nil {
+		bounds := attack.DatasetBounds(testDS)
 		pt.Robustness = attack.CurveOn(be, tp.Net, testDS, epsilons, func(eps float64) attack.Attack {
 			return attack.PGD{
 				Eps:         eps,
@@ -306,50 +326,7 @@ func attackPoint(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, test
 			}
 		}, cfg.EvalBatch)
 	}
-	return pt
-}
-
-// ---------------------------------------------------------------------------
-// Per-point entry points — the unit of distributed execution
-//
-// A distributed grid engine (internal/grid) runs one point at a time in a
-// worker process and merges the streamed results. The contract that makes
-// the merge bit-identical to the single-process Run is that every source
-// of randomness under a point — the training-set shuffle, the network's
-// weight initialisation and encoder stream (owned by cfg.Build), and the
-// PGD start points — derives from cfg.Seed and the point's T-major grid
-// index alone, never from shared or sequential state.
-
-// TrainPointAt validates cfg and trains the idx-th grid point (T-major)
-// on be — lines 3-4 of Algorithm 1 for a single point. A nil backend
-// selects a backend of cfg.KernelWorkers width.
-func TrainPointAt(cfg Config, be compute.Backend, idx int, trainDS, testDS *dataset.Dataset) (TrainedPoint, error) {
-	if err := (&cfg).Validate(); err != nil {
-		return TrainedPoint{}, err
-	}
-	if idx < 0 || idx >= len(cfg.Vths)*len(cfg.Ts) {
-		return TrainedPoint{}, fmt.Errorf("explore: point index %d out of a %d-point grid", idx, len(cfg.Vths)*len(cfg.Ts))
-	}
-	if be == nil {
-		be = cfg.backend()
-	}
-	vi, ti := idx%len(cfg.Vths), idx/len(cfg.Vths)
-	return trainPoint(cfg, be, cfg.Vths[vi], cfg.Ts[ti], uint64(idx), trainDS, testDS), nil
-}
-
-// AttackPointAt evaluates the robustness sweep (lines 5-16) for a point
-// trained by TrainPointAt and assembles its grid Point.
-func AttackPointAt(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, testDS *dataset.Dataset, epsilons []float64) (Point, error) {
-	if err := (&cfg).Validate(); err != nil {
-		return Point{}, err
-	}
-	if idx < 0 || idx >= len(cfg.Vths)*len(cfg.Ts) {
-		return Point{}, fmt.Errorf("explore: point index %d out of a %d-point grid", idx, len(cfg.Vths)*len(cfg.Ts))
-	}
-	if be == nil {
-		be = cfg.backend()
-	}
-	return attackPoint(cfg, be, idx, tp, testDS, epsilons, attack.DatasetBounds(testDS)), nil
+	return pt, nil
 }
 
 // RunPointAt executes Algorithm 1 for one grid point: train, gate,
@@ -365,71 +342,4 @@ func RunPointAt(cfg Config, be compute.Backend, idx int, trainDS, testDS *datase
 		return TrainedPoint{}, Point{}, err
 	}
 	return tp, pt, nil
-}
-
-// Run executes Algorithm 1 over the grid: train → learnability gate →
-// robustness sweep, with grid points distributed over a worker pool.
-func Run(cfg Config, trainDS, testDS *dataset.Dataset) (*Result, error) {
-	sw, err := TrainGrid(cfg, trainDS, testDS)
-	if err != nil {
-		return nil, err
-	}
-	return sw.AttackAll(testDS, sw.Config.Epsilons), nil
-}
-
-// forEachPoint distributes the grid positions over cfg.Workers goroutines
-// and waits for completion. Each worker receives a compute backend of
-// width cfg.KernelWorkers for the tensor kernels under its grid points.
-func forEachPoint(cfg Config, f func(vi, ti int, be compute.Backend)) {
-	type job struct{ vi, ti int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			be := cfg.backend()
-			for j := range jobs {
-				f(j.vi, j.ti, be)
-			}
-		}()
-	}
-	for ti := range cfg.Ts {
-		for vi := range cfg.Vths {
-			jobs <- job{vi, ti}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// trainPoint runs lines 3-4 of Algorithm 1 for a single (Vth, T) on the
-// given compute backend.
-func trainPoint(cfg Config, be compute.Backend, vth float64, T int, idx uint64, trainDS, testDS *dataset.Dataset) TrainedPoint {
-	pt := TrainedPoint{Vth: vth, T: T}
-	net, err := cfg.Build(vth, T)
-	if err != nil {
-		pt.Err = fmt.Errorf("explore: build (Vth=%g, T=%d): %w", vth, T, err)
-		return pt
-	}
-	// Each worker trains on its own copy of the training set: train.Fit
-	// may shuffle, and the dataset is shared across goroutines.
-	localTrain := trainDS.Subset(0, trainDS.Len())
-	tcfg := cfg.Train
-	tcfg.Backend = be
-	if cfg.NewOptimizer != nil {
-		tcfg.Optimizer = cfg.NewOptimizer()
-	}
-	if tcfg.Shuffle != nil {
-		// Derive an independent deterministic stream per point.
-		tcfg.Shuffle = tensor.NewRand(cfg.Seed^idx, 0x7ea1)
-	}
-	if _, err := train.Fit(net, localTrain, tcfg); err != nil {
-		pt.Err = fmt.Errorf("explore: train (Vth=%g, T=%d): %w", vth, T, err)
-		return pt
-	}
-	pt.Net = net
-	pt.CleanAccuracy = train.EvaluateOn(be, net, testDS, cfg.EvalBatch)
-	pt.Learnable = pt.CleanAccuracy >= cfg.AccuracyThreshold
-	return pt
 }

@@ -3,8 +3,10 @@ package explore
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
+	"snnsec/internal/compute"
 	"snnsec/internal/dataset"
 	"snnsec/internal/nn"
 	"snnsec/internal/snn"
@@ -67,13 +69,25 @@ func fastConfig(imageSize int) Config {
 	}
 }
 
+// runSerial runs every grid point through RunPointAt in index order: the
+// sweep without a scheduler.
+func runSerial(t *testing.T, cfg Config, trainDS, testDS *dataset.Dataset) *Result {
+	t.Helper()
+	res := NewPartialResult(cfg.Vths, cfg.Ts, cfg.Epsilons)
+	for idx := range res.Points {
+		_, pt, err := RunPointAt(cfg, nil, idx, trainDS, testDS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Set(idx, pt)
+	}
+	return res
+}
+
 func TestRunGridShapeAndGate(t *testing.T) {
 	trainDS, testDS := gridData(t)
 	cfg := fastConfig(12)
-	res, err := Run(cfg, trainDS, testDS)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSerial(t, cfg, trainDS, testDS)
 	if len(res.Points) != 4 {
 		t.Fatalf("points = %d, want 4", len(res.Points))
 	}
@@ -149,26 +163,17 @@ func TestLearnableCount(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	trainDS, testDS := gridData(t)
-	bad := fastConfig(12)
-	bad.Vths = nil
-	if _, err := Run(bad, trainDS, testDS); err == nil {
-		t.Error("empty grid accepted")
-	}
-	bad = fastConfig(12)
-	bad.Epsilons = nil
-	if _, err := Run(bad, trainDS, testDS); err == nil {
-		t.Error("no budgets accepted")
-	}
-	bad = fastConfig(12)
-	bad.Build = nil
-	if _, err := Run(bad, trainDS, testDS); err == nil {
-		t.Error("nil builder accepted")
-	}
-	bad = fastConfig(12)
-	bad.AccuracyThreshold = 2
-	if _, err := Run(bad, trainDS, testDS); err == nil {
-		t.Error("threshold 2 accepted")
+	for name, mutate := range map[string]func(*Config){
+		"empty grid":  func(c *Config) { c.Vths = nil },
+		"no budgets":  func(c *Config) { c.Epsilons = nil },
+		"nil builder": func(c *Config) { c.Build = nil },
+		"threshold 2": func(c *Config) { c.AccuracyThreshold = 2 },
+	} {
+		bad := fastConfig(12)
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -184,11 +189,12 @@ func TestBuilderErrorIsPerPoint(t *testing.T) {
 		}
 		return builder(vth, T)
 	}
-	res, err := Run(cfg, trainDS, testDS)
+	// The failure travels inside the point; RunPointAt itself succeeds,
+	// so a sweep records it and moves on.
+	_, p, err := RunPointAt(cfg, nil, 0, trainDS, testDS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.At(0, 0)
 	if p.Err == nil || !strings.Contains(p.Err.Error(), "boom") {
 		t.Errorf("builder error not recorded: %v", p.Err)
 	}
@@ -210,11 +216,11 @@ func TestGridDeterminism(t *testing.T) {
 	cfg.Ts = []int{4}
 	cfg.Workers = 1
 	run := func() float64 {
-		res, err := Run(cfg, trainDS.Subset(0, trainDS.Len()), testDS)
+		_, p, err := RunPointAt(cfg, nil, 0, trainDS.Subset(0, trainDS.Len()), testDS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.At(0, 0).CleanAccuracy
+		return p.CleanAccuracy
 	}
 	a, b := run(), run()
 	if math.Abs(a-b) > 1e-12 {
@@ -222,50 +228,63 @@ func TestGridDeterminism(t *testing.T) {
 	}
 }
 
-func TestTrainGridThenAttackAll(t *testing.T) {
+// trainAll trains every grid point through TrainPointAt in index order.
+func trainAll(t *testing.T, cfg Config, trainDS, testDS *dataset.Dataset) []TrainedPoint {
+	t.Helper()
+	tps := make([]TrainedPoint, len(cfg.Vths)*len(cfg.Ts))
+	for idx := range tps {
+		tp, err := TrainPointAt(cfg, nil, idx, trainDS, testDS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Err != nil {
+			t.Fatalf("train point (%g,%d): %v", tp.Vth, tp.T, tp.Err)
+		}
+		if tp.Net == nil {
+			t.Fatalf("trained point (%g,%d) kept no network", tp.Vth, tp.T)
+		}
+		tps[idx] = tp
+	}
+	return tps
+}
+
+func TestAttackPointAtReusesTraining(t *testing.T) {
 	trainDS, testDS := gridData(t)
 	cfg := fastConfig(12)
-	sw, err := TrainGrid(cfg, trainDS, testDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Points) != 4 {
-		t.Fatalf("sweep points = %d", len(sw.Points))
-	}
-	for i := range sw.Points {
-		p := &sw.Points[i]
-		if p.Err != nil {
-			t.Fatalf("train point (%g,%d): %v", p.Vth, p.T, p.Err)
+	tps := trainAll(t, cfg, trainDS, testDS)
+	// Attack the same trained points at two different budgets without
+	// retraining.
+	for idx := range tps {
+		p1, err := AttackPointAt(cfg, nil, idx, &tps[idx], testDS, []float64{0.5})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Net == nil {
-			t.Fatalf("trained point (%g,%d) kept no network", p.Vth, p.T)
+		p2, err := AttackPointAt(cfg, nil, idx, &tps[idx], testDS, []float64{1.5})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Attack the same sweep at two different budgets without retraining.
-	r1 := sw.AttackAll(testDS, []float64{0.5})
-	r2 := sw.AttackAll(testDS, []float64{1.5})
-	if len(r1.Epsilons) != 1 || r1.Epsilons[0] != 0.5 {
-		t.Errorf("r1 epsilons = %v", r1.Epsilons)
-	}
-	for i := range r1.Points {
-		if r1.Points[i].CleanAccuracy != r2.Points[i].CleanAccuracy {
+		if p1.CleanAccuracy != p2.CleanAccuracy {
 			t.Error("clean accuracy changed between attack passes")
 		}
-		if r1.Points[i].Learnable {
-			a, _ := r1.Points[i].RobustAt(0.5)
-			b, _ := r2.Points[i].RobustAt(1.5)
-			if b > a+0.15 {
-				t.Errorf("robustness at eps=1.5 (%v) far above eps=0.5 (%v)", b, a)
-			}
+		if !p1.Learnable {
+			continue
+		}
+		a, ok1 := p1.RobustAt(0.5)
+		b, ok2 := p2.RobustAt(1.5)
+		if !ok1 || !ok2 {
+			t.Fatalf("point %d not evaluated at its budget", idx)
+		}
+		if b > a+0.15 {
+			t.Errorf("robustness at eps=1.5 (%v) far above eps=0.5 (%v)", b, a)
 		}
 	}
 }
 
-// TestTrainPointDeterminismAcrossWorkers pins the contract the
-// distributed grid engine rests on: training grid point i in isolation —
-// on any worker, with any backend width — produces bit-identical weights
-// to the same point trained inside the full multi-worker sweep, because
-// every RNG stream under a point derives from (Seed, i) alone.
+// TestTrainPointDeterminismAcrossWorkers pins the contract the grid
+// engine rests on: training grid point i in isolation produces
+// bit-identical weights to the same point trained concurrently with the
+// rest of the grid on another backend width, sharing one training set,
+// because every RNG stream under a point derives from (Seed, i) alone.
 func TestTrainPointDeterminismAcrossWorkers(t *testing.T) {
 	trainDS, testDS := gridData(t)
 	cfg := fastConfig(12)
@@ -274,18 +293,28 @@ func TestTrainPointDeterminismAcrossWorkers(t *testing.T) {
 	// A shuffle generator exercises the per-point stream derivation (it
 	// is replaced per point, never shared).
 	cfg.Train.Shuffle = tensor.NewRand(99, 99)
-	cfg.Workers = 2
 
-	sw, err := TrainGrid(cfg, trainDS.Subset(0, trainDS.Len()), testDS)
-	if err != nil {
-		t.Fatal(err)
+	shared := trainDS.Subset(0, trainDS.Len())
+	concurrent := make([]TrainedPoint, len(cfg.Vths)*len(cfg.Ts))
+	errs := make([]error, len(concurrent))
+	var wg sync.WaitGroup
+	for idx := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[idx], errs[idx] = TrainPointAt(cfg, compute.New(2), idx, shared, testDS)
+		}()
 	}
-	for idx := range sw.Points {
-		lone, err := TrainPointAt(cfg, nil, idx, trainDS.Subset(0, trainDS.Len()), testDS)
+	wg.Wait()
+	for idx := range concurrent {
+		if errs[idx] != nil {
+			t.Fatal(errs[idx])
+		}
+		lone, err := TrainPointAt(cfg, compute.NewSerial(), idx, trainDS.Subset(0, trainDS.Len()), testDS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inSweep := &sw.Points[idx]
+		inSweep := &concurrent[idx]
 		if lone.Err != nil || inSweep.Err != nil {
 			t.Fatalf("point %d failed: %v / %v", idx, lone.Err, inSweep.Err)
 		}
@@ -308,21 +337,25 @@ func TestTrainPointDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunPointAtMatchesRun pins the two schedules of a sweep to one
+// result: RunPointAt per point (the grid engine's unit of work) and the
+// phased run that trains every point before attacking any (the schedule
+// the traced benchmark replays) must agree exactly.
 func TestRunPointAtMatchesRun(t *testing.T) {
 	trainDS, testDS := gridData(t)
 	cfg := fastConfig(12)
-	res, err := Run(cfg, trainDS.Subset(0, trainDS.Len()), testDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx := range res.Points {
+	tps := trainAll(t, cfg, trainDS.Subset(0, trainDS.Len()), testDS)
+	for idx := range tps {
+		want, err := AttackPointAt(cfg, nil, idx, &tps[idx], testDS, cfg.Epsilons)
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, pt, err := RunPointAt(cfg, nil, idx, trainDS.Subset(0, trainDS.Len()), testDS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := res.Points[idx]
 		if pt.CleanAccuracy != want.CleanAccuracy || pt.Learnable != want.Learnable {
-			t.Errorf("point %d: standalone (%v, %v) vs sweep (%v, %v)",
+			t.Errorf("point %d: per-point (%v, %v) vs phased (%v, %v)",
 				idx, pt.CleanAccuracy, pt.Learnable, want.CleanAccuracy, want.Learnable)
 		}
 		if len(pt.Robustness) != len(want.Robustness) {
@@ -330,7 +363,7 @@ func TestRunPointAtMatchesRun(t *testing.T) {
 		}
 		for k := range pt.Robustness {
 			if pt.Robustness[k] != want.Robustness[k] {
-				t.Errorf("point %d eps %g: robust %v standalone vs %v in sweep",
+				t.Errorf("point %d eps %g: robust %v per-point vs %v phased",
 					idx, pt.Robustness[k].Eps, pt.Robustness[k].RobustAccuracy, want.Robustness[k].RobustAccuracy)
 			}
 		}
@@ -341,13 +374,16 @@ func TestValidateRejectsZeroAxes(t *testing.T) {
 	trainDS, testDS := gridData(t)
 	bad := fastConfig(12)
 	bad.Vths = []float64{0, 1}
-	if _, err := Run(bad, trainDS, testDS); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("zero Vth accepted")
 	}
 	bad = fastConfig(12)
 	bad.Ts = []int{0, 2}
-	if _, err := Run(bad, trainDS, testDS); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("zero T accepted")
+	}
+	if _, err := TrainPointAt(fastConfig(12), nil, 4, trainDS, testDS); err == nil {
+		t.Error("out-of-grid point index accepted")
 	}
 }
 
@@ -362,18 +398,5 @@ func TestPartialResultBookkeeping(t *testing.T) {
 	}
 	if got := res.MissingIndices(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("MissingIndices = %v, want [0]", got)
-	}
-}
-
-func TestSweepAtIndexing(t *testing.T) {
-	sw := &Sweep{
-		Config: Config{Vths: []float64{1, 2}, Ts: []int{3, 4}},
-		Points: []TrainedPoint{
-			{Vth: 1, T: 3}, {Vth: 2, T: 3},
-			{Vth: 1, T: 4}, {Vth: 2, T: 4},
-		},
-	}
-	if p := sw.At(1, 1); p.Vth != 2 || p.T != 4 {
-		t.Errorf("At(1,1) = (%g,%d)", p.Vth, p.T)
 	}
 }

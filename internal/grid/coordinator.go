@@ -9,27 +9,28 @@ import (
 	"sync/atomic"
 	"time"
 
-	"snnsec/internal/compute"
 	"snnsec/internal/explore"
 	"snnsec/internal/faultinject"
 	"snnsec/internal/obs"
 )
 
 // Launcher starts (or attaches) the worker for one shard and returns its
-// transport. ExecLauncher spawns snnsec grid-worker subprocesses; remote
-// launchers can return any duplex stream speaking the worker protocol.
+// transport. InProcess runs workers on goroutines, ExecLauncher spawns
+// snnsec grid-worker subprocesses, and remote launchers can return any
+// duplex stream speaking the worker protocol.
 type Launcher func(shard int) (Transport, error)
 
-// Options configure a distributed run.
+// Options configure a grid run.
 type Options struct {
-	// Shards is the worker-process count (default 1). It is clamped to
-	// the number of pending points.
+	// Shards is the worker count. The default is the job's validated
+	// explore.Config.Workers: the CPU budget clamped to the grid size. It
+	// is clamped to the number of pending points.
 	Shards int
-	// KernelWorkers is the compute-backend width handed to each worker
-	// process. The default divides the coordinator's CPU budget (the
-	// default backend's width) by the shard count, extending explore's
-	// Workers × KernelWorkers ≤ NumCPU budgeting across processes; set it
-	// explicitly when shards run on other machines.
+	// KernelWorkers is the compute-backend width handed to each worker.
+	// The default is explore.Config.Validate's KernelWorkers with the
+	// shards as its Workers, which keeps Workers × KernelWorkers within
+	// the coordinator's CPU budget across processes; set it explicitly
+	// when shards run on other machines.
 	KernelWorkers int
 	// CheckpointDir, when non-empty, persists every completed point (and
 	// optional model snapshot) so a killed run can resume.
@@ -83,12 +84,13 @@ const (
 	defaultProgressEvery   = 10 * time.Second
 )
 
-// Run executes the grid job across worker processes and merges the
-// streamed points into an explore.Result. The merge is bit-identical to
-// the single-process explore.Run of the same job (see the package
-// comment). The result is partial — with unset points — when MaxPoints
-// was hit or ctx was cancelled; in the latter case the context error is
-// returned alongside the checkpointed partial result.
+// Run executes the grid job across the launched workers and merges the
+// streamed points into an explore.Result. The merge is bit-identical for
+// any launcher and shard count, and to a serial explore.RunPointAt loop
+// over the same job (see the package comment). The result is partial —
+// with unset points — when MaxPoints was hit or ctx was cancelled; in the
+// latter case the context error is returned alongside the checkpointed
+// partial result.
 func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) {
 	// The coordinator needs only the job's grid axes; datasets are loaded
 	// lazily by the workers.
@@ -149,19 +151,19 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 	}
 
 	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
+	if shards <= 0 {
+		shards = cfg.Workers
 	}
 	if shards > len(pending) {
 		shards = len(pending)
 	}
-	kernelWorkers := opts.KernelWorkers
-	if kernelWorkers <= 0 {
-		kernelWorkers = compute.Default().Workers() / shards
-		if kernelWorkers < 1 {
-			kernelWorkers = 1
-		}
+	// explore's budgeting rule sizes each shard's kernels, with the shards
+	// as its grid workers: shards × kernel width stays within the budget.
+	cfg.Workers, cfg.KernelWorkers = shards, opts.KernelWorkers
+	if err := (&cfg).Validate(); err != nil {
+		return nil, err
 	}
+	kernelWorkers := cfg.KernelWorkers
 	lg.Infof("grid: %d points over %d shards, %d kernel workers each", len(pending), shards, kernelWorkers)
 
 	stallTimeout := opts.StallTimeout

@@ -1,9 +1,9 @@
-// Package grid is the distributed engine behind Algorithm 1's (Vth, T)
-// exploration: it shards the grid of internal/explore across worker
-// processes, streams per-point results back over a line-delimited JSON
-// protocol, persists every completed point to a durable on-disk
-// checkpoint, and merges the shards into an explore.Result that is
-// bit-identical to the single-process explore.Run.
+// Package grid is the one scheduler of Algorithm 1's (Vth, T)
+// exploration: it spreads the grid of internal/explore over workers,
+// streams per-point results back over a line-delimited JSON protocol,
+// persists every completed point to a durable on-disk checkpoint, and
+// merges the points into an explore.Result. core.RunGrid and snnsec grid
+// run every sweep through it.
 //
 // # Architecture
 //
@@ -15,24 +15,26 @@
 // the run. A crashed worker's in-flight point is returned to the queue
 // and reassigned; the run fails only when every worker is gone.
 //
-// Workers are separate processes — spawned locally via ExecLauncher, or
-// attached over any byte stream by a custom Launcher, so remote launch
-// wrappers (ssh, containers) need nothing beyond stdin/stdout plumbing.
-// Each worker receives a kernel budget with its hello message: the
-// coordinator divides its own CPU budget by the shard count (the
-// Workers × KernelWorkers ≤ NumCPU rule of internal/explore, applied
-// across processes), so shards on one machine compose without
-// oversubscribing it.
+// There are two launchers and one scheduler. InProcess runs each worker
+// as a goroutine over in-memory pipes; ExecLauncher spawns worker
+// processes, and a custom Launcher can attach any byte stream, so remote
+// launch wrappers (ssh, containers) need nothing beyond stdin/stdout
+// plumbing. Retries, poison-point quarantine, checkpoint/resume and
+// progress are the same for all of them. Each worker receives a kernel
+// budget with its hello message: explore's Workers × KernelWorkers ≤
+// budget rule, with the shards as the workers, so shards on one machine
+// compose without oversubscribing it.
 //
 // # Determinism
 //
 // Every source of randomness under a grid point derives from the
 // configuration seed and the point's T-major index (see the per-point
 // entry points of internal/explore), and job specifications travel as
-// JSON whose float64 encoding round-trips exactly. A merged multi-shard
-// result — including one resumed from a checkpoint — is therefore
-// bit-identical to the single-process run, which the tests assert
-// byte-for-byte on the serialised result.
+// JSON whose float64 encoding round-trips exactly. A merged result —
+// from any launcher and shard count, including one resumed from a
+// checkpoint — is therefore bit-identical to a serial explore.RunPointAt
+// loop over the same job, which the tests assert byte-for-byte on the
+// serialised result.
 package grid
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -29,6 +30,9 @@ type testJobSpec struct {
 	TestN     int       `json:"test_n"`
 	Vths      []float64 `json:"vths"`
 	Ts        []int     `json:"ts"`
+	// FailVth, when non-zero, makes the network builder fail at that
+	// threshold.
+	FailVth float64 `json:"fail_vth,omitempty"`
 }
 
 func init() {
@@ -63,6 +67,9 @@ func init() {
 			EvalBatch:    32,
 			Seed:         3,
 			Build: func(vth float64, T int) (*snn.Network, error) {
+				if vth == js.FailVth {
+					return nil, fmt.Errorf("boom at Vth=%g", vth)
+				}
 				r := tensor.NewRand(11, 0)
 				ncfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 10}}
 				return &snn.Network{
@@ -107,8 +114,9 @@ func testSpec(t *testing.T) Spec {
 	return Spec{Builder: "grid-test", Config: raw}
 }
 
-// singleProcessJSON runs the same job with the in-process explore.Run
-// and returns its serialised result — the bit-identity baseline.
+// singleProcessJSON runs the same job as a serial explore.RunPointAt loop
+// and returns its serialised result — the bit-identity baseline, computed
+// without the scheduler under test.
 func singleProcessJSON(t *testing.T, spec Spec) []byte {
 	t.Helper()
 	job, err := spec.Build()
@@ -119,9 +127,14 @@ func singleProcessJSON(t *testing.T, spec Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := explore.Run(job.Config, trainDS, testDS)
-	if err != nil {
-		t.Fatal(err)
+	cfg := job.Config
+	res := explore.NewPartialResult(cfg.Vths, cfg.Ts, cfg.Epsilons)
+	for idx := range res.Points {
+		_, pt, err := explore.RunPointAt(cfg, nil, idx, trainDS, testDS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Set(idx, pt)
 	}
 	return resultJSON(t, res)
 }
@@ -136,38 +149,7 @@ func resultJSON(t *testing.T, res *explore.Result) []byte {
 }
 
 // ---------------------------------------------------------------------------
-// In-process transports
-
-// pipeTransport is the coordinator's end of an in-process worker.
-type pipeTransport struct {
-	r    *io.PipeReader
-	w    *io.PipeWriter
-	once sync.Once
-}
-
-func (p *pipeTransport) Read(b []byte) (int, error)  { return p.r.Read(b) }
-func (p *pipeTransport) Write(b []byte) (int, error) { return p.w.Write(b) }
-func (p *pipeTransport) Close() error {
-	p.once.Do(func() {
-		p.w.Close()
-		p.r.Close()
-	})
-	return nil
-}
-
-// inProcLauncher runs ServeWorker on a goroutine per shard, connected by
-// pipes — the protocol without the subprocess.
-func inProcLauncher() Launcher {
-	return func(shard int) (Transport, error) {
-		toWorkerR, toWorkerW := io.Pipe()
-		fromWorkerR, fromWorkerW := io.Pipe()
-		go func() {
-			_ = ServeWorker(toWorkerR, fromWorkerW)
-			fromWorkerW.Close()
-		}()
-		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
-	}
-}
+// Crashing in-process workers
 
 // dieAfterReader crashes a worker: it delivers n point assignments and
 // then reports EOF instead of the (n+1)-th, so the worker dies with that
@@ -194,7 +176,7 @@ func (d *dieAfterReader) Read(p []byte) (int, error) {
 // crashingLauncher makes the given shard die after serving n points;
 // other shards run normally.
 func crashingLauncher(crashShard, n int) Launcher {
-	healthy := inProcLauncher()
+	healthy := InProcess()
 	return func(shard int) (Transport, error) {
 		if shard != crashShard {
 			return healthy(shard)
@@ -217,13 +199,77 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 	want := singleProcessJSON(t, spec)
 	res, err := Run(context.Background(), spec, Options{
 		Shards: 2,
-		Launch: inProcLauncher(),
+		Launch: InProcess(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := resultJSON(t, res); !bytes.Equal(got, want) {
 		t.Errorf("2-shard result differs from single-process run:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestInProcessDefaultShards runs the sweep the way core.RunGrid does:
+// in-process workers, one per grid worker of the validated job config.
+func TestInProcessDefaultShards(t *testing.T) {
+	spec := testSpec(t)
+	want := singleProcessJSON(t, spec)
+	job, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := job.Config
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	res, err := Run(context.Background(), spec, Options{
+		Launch: InProcess(),
+		Logger: obs.NewLogger(&log, obs.LevelInfo),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultJSON(t, res); !bytes.Equal(got, want) {
+		t.Errorf("in-process result differs from serial RunPointAt loop:\n got: %s\nwant: %s", got, want)
+	}
+	if shards := fmt.Sprintf("over %d shards", cfg.Workers); !strings.Contains(log.String(), shards) {
+		t.Errorf("log does not report %q:\n%s", shards, log.String())
+	}
+}
+
+// TestBuilderErrorIsPerPointInSweep: a point whose network cannot be
+// built keeps its error inside the point — it is neither retried nor
+// quarantined — and the sweep completes every other point.
+func TestBuilderErrorIsPerPointInSweep(t *testing.T) {
+	raw, err := json.Marshal(testJobSpec{
+		ImageSize: 12, TrainN: 80, TestN: 30,
+		Vths: []float64{0.5, 1}, Ts: []int{2, 3}, FailVth: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Builder: "grid-test", Config: raw}
+	want := singleProcessJSON(t, spec)
+	res, err := Run(context.Background(), spec, Options{Shards: 2, Launch: InProcess()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing := res.MissingIndices(); len(missing) != 0 {
+		t.Fatalf("sweep left points %v unset", missing)
+	}
+	for i := range res.Points {
+		p := &res.Points[i]
+		failed := p.Err != nil && strings.Contains(p.Err.Error(), "boom")
+		if failed != (p.Vth == 1) {
+			t.Errorf("point (%g, %d): err = %v", p.Vth, p.T, p.Err)
+		}
+		if failed && p.Learnable {
+			t.Errorf("failed point (%g, %d) marked learnable", p.Vth, p.T)
+		}
+	}
+	if got := resultJSON(t, res); !bytes.Equal(got, want) {
+		t.Errorf("sweep with failing builder differs from serial RunPointAt loop:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -265,7 +311,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		Shards:        2,
 		CheckpointDir: dir,
 		MaxPoints:     2,
-		Launch:        inProcLauncher(),
+		Launch:        InProcess(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +325,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		Shards:        2,
 		CheckpointDir: dir,
 		Resume:        true,
-		Launch:        inProcLauncher(),
+		Launch:        InProcess(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +349,7 @@ func TestKilledRunResumes(t *testing.T) {
 	_, err := Run(ctx, spec, Options{
 		Shards:        2,
 		CheckpointDir: dir,
-		Launch:        inProcLauncher(),
+		Launch:        InProcess(),
 		Logger:        obs.NewLogger(cancelOnFirstPoint{cancel: cancel}, obs.LevelInfo),
 	})
 	if err == nil {
@@ -314,7 +360,7 @@ func TestKilledRunResumes(t *testing.T) {
 		Shards:        2,
 		CheckpointDir: dir,
 		Resume:        true,
-		Launch:        inProcLauncher(),
+		Launch:        InProcess(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +388,7 @@ func TestModelSnapshotsWritten(t *testing.T) {
 		Shards:         2,
 		CheckpointDir:  dir,
 		SnapshotModels: true,
-		Launch:         inProcLauncher(),
+		Launch:         InProcess(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,13 +407,13 @@ func TestCheckpointGuards(t *testing.T) {
 	spec := testSpec(t)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, CheckpointDir: dir, MaxPoints: 1, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir, MaxPoints: 1, Launch: InProcess(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Same directory without resume must be refused.
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, CheckpointDir: dir, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir, Launch: InProcess(),
 	}); err == nil {
 		t.Error("existing checkpoint reused without resume")
 	}
@@ -377,7 +423,7 @@ func TestCheckpointGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(context.Background(), Spec{Builder: "grid-test", Config: other}, Options{
-		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir, Resume: true, Launch: InProcess(),
 	}); err == nil {
 		t.Error("checkpoint of a different job accepted")
 	}
@@ -394,7 +440,7 @@ func TestCheckpointGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir, Resume: true, Launch: InProcess(),
 	}); err == nil || !strings.Contains(err.Error(), "precision") {
 		t.Errorf("checkpoint manifest with a precision tag: err = %v, want refusal naming the field", err)
 	}
@@ -402,7 +448,7 @@ func TestCheckpointGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir, Resume: true, Launch: InProcess(),
 	}); err != nil {
 		t.Errorf("untouched checkpoint no longer resumes: %v", err)
 	}
@@ -427,24 +473,24 @@ func TestSpecFingerprintIgnoresWhitespace(t *testing.T) {
 func TestOptionsRequireCheckpointDir(t *testing.T) {
 	spec := testSpec(t)
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, Resume: true, Launch: inProcLauncher(),
+		Shards: 1, Resume: true, Launch: InProcess(),
 	}); err == nil {
 		t.Error("Resume without CheckpointDir accepted — a forgotten -checkpoint-dir would silently recompute the whole sweep")
 	}
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, MaxPoints: 1, Launch: inProcLauncher(),
+		Shards: 1, MaxPoints: 1, Launch: InProcess(),
 	}); err == nil {
 		t.Error("MaxPoints without CheckpointDir accepted — the partial result would not be resumable")
 	}
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, SnapshotModels: true, Launch: inProcLauncher(),
+		Shards: 1, SnapshotModels: true, Launch: InProcess(),
 	}); err == nil {
 		t.Error("SnapshotModels without CheckpointDir accepted")
 	}
 }
 
 func TestUnknownBuilder(t *testing.T) {
-	_, err := Run(context.Background(), Spec{Builder: "nope"}, Options{Shards: 1, Launch: inProcLauncher()})
+	_, err := Run(context.Background(), Spec{Builder: "nope"}, Options{Shards: 1, Launch: InProcess()})
 	if err == nil {
 		t.Error("unknown builder accepted")
 	}

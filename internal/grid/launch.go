@@ -11,6 +11,51 @@ import (
 	"snnsec/internal/faultinject"
 )
 
+// InProcess runs each shard's worker as a ServeWorker goroutine in this
+// process, connected to the coordinator by a pair of io.Pipes: the same
+// protocol, retries, checkpoints and progress as ExecLauncher without the
+// subprocess. core.RunGrid and snnsec grid without -shards use it.
+//
+// Fault rules are process-wide here: every in-process shard shares one
+// injector, so shard-scoped rules (point@s1:…) need ExecLauncher, and an
+// exit action ends the whole process. A goroutine cannot be killed: when
+// the coordinator withdraws a stalled worker's point it closes the pipes,
+// and the wedged worker computes on until its next send (a heartbeat or
+// its result) fails, then exits; its point has already been reassigned.
+func InProcess() Launcher {
+	return func(int) (Transport, error) {
+		toWorkerR, toWorkerW := io.Pipe()
+		fromWorkerR, fromWorkerW := io.Pipe()
+		go func() {
+			// A fatal error has already reached the coordinator over the
+			// pipe; any other ends the conversation the coordinator closed.
+			_ = ServeWorker(toWorkerR, fromWorkerW)
+			// Unblock the coordinator on either direction once the
+			// worker is gone.
+			toWorkerR.Close()
+			fromWorkerW.Close()
+		}()
+		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
+	}
+}
+
+// pipeTransport is the coordinator's end of an in-process worker.
+type pipeTransport struct {
+	r *io.PipeReader
+	w *io.PipeWriter
+}
+
+func (p *pipeTransport) Read(b []byte) (int, error)  { return p.r.Read(b) }
+func (p *pipeTransport) Write(b []byte) (int, error) { return p.w.Write(b) }
+
+// Close ends both directions: the worker's next read sees EOF and its
+// next write fails. Closing a pipe twice is harmless, so Close is
+// idempotent.
+func (p *pipeTransport) Close() error {
+	p.w.Close()
+	return p.r.Close()
+}
+
 // ExecLauncher spawns one local worker subprocess per shard, speaking
 // the protocol over its stdin/stdout; stderr passes through to the
 // coordinator's stderr so worker logs stay visible. The CLI uses it as

@@ -61,7 +61,7 @@ func TestStalledWorkerPointWithdrawn(t *testing.T) {
 	var log syncBuffer
 	res, err := Run(context.Background(), spec, Options{
 		Shards:       2,
-		Launch:       inProcLauncher(),
+		Launch:       InProcess(),
 		StallTimeout: 100 * time.Millisecond,
 		RetryBackoff: -1, // requeue immediately
 		Logger:       obs.NewLogger(&log, obs.LevelInfo),
@@ -87,7 +87,7 @@ func TestTransientPointFailuresRetried(t *testing.T) {
 	var log syncBuffer
 	res, err := Run(context.Background(), spec, Options{
 		Shards:       1,
-		Launch:       inProcLauncher(),
+		Launch:       InProcess(),
 		RetryBackoff: -1,
 		Logger:       obs.NewLogger(&log, obs.LevelInfo),
 	})
@@ -113,7 +113,7 @@ func TestPoisonPointQuarantined(t *testing.T) {
 	var log syncBuffer
 	res, err := Run(context.Background(), spec, Options{
 		Shards:          1,
-		Launch:          inProcLauncher(),
+		Launch:          InProcess(),
 		MaxPointRetries: 1,
 		RetryBackoff:    -1,
 		Logger:          obs.NewLogger(&log, obs.LevelInfo),
@@ -137,7 +137,7 @@ func TestCorruptCheckpointFilesQuarantinedOnResume(t *testing.T) {
 	want := singleProcessJSON(t, spec)
 	dir := t.TempDir()
 	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
+		Shards: 1, Launch: InProcess(), CheckpointDir: dir,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCorruptCheckpointFilesQuarantinedOnResume(t *testing.T) {
 
 	var log syncBuffer
 	res, err := Run(context.Background(), spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
+		Shards: 1, Launch: InProcess(), CheckpointDir: dir, Resume: true,
 		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
@@ -208,7 +208,7 @@ func TestTornCheckpointWriteDetectedOnResume(t *testing.T) {
 	// durability. The first run's in-memory result is unaffected.
 	installFaults(t, "grid.checkpoint.write@2=torn")
 	res, err := Run(context.Background(), spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
+		Shards: 1, Launch: InProcess(), CheckpointDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestTornCheckpointWriteDetectedOnResume(t *testing.T) {
 	faultinject.Set(nil)
 	var log syncBuffer
 	res, err = Run(context.Background(), spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
+		Shards: 1, Launch: InProcess(), CheckpointDir: dir, Resume: true,
 		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestStallDetectionDisabled(t *testing.T) {
 	// Negative StallTimeout turns heartbeats and withdrawal off — the
 	// pre-robustness protocol, still byte-identical.
 	res, err := Run(context.Background(), spec, Options{
-		Shards: 2, Launch: inProcLauncher(), StallTimeout: -1,
+		Shards: 2, Launch: InProcess(), StallTimeout: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ const (
 
 // ServeWorker runs the worker side of the protocol over r/w — for the
 // snnsec grid-worker subcommand these are stdin and stdout, but any
-// byte stream works (the tests drive workers over in-process pipes).
+// byte stream works (InProcess drives workers over in-memory pipes).
 // It processes the hello, then serves assigned points one at a time
 // until the coordinator sends done or the stream closes. Point-level
 // sweep failures travel inside the point (explore sweeps past them); a
@@ -54,7 +54,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 		return c.fatal(err)
 	}
 	cfg := job.Config
-	// The coordinator owns point-level parallelism; this process runs one
+	// The coordinator owns point-level parallelism; this worker runs one
 	// point at a time on its assigned slice of the CPU budget.
 	cfg.Workers = 1
 	cfg.KernelWorkers = hello.KernelWorkers

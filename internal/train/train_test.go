@@ -218,31 +218,6 @@ func TestGradClip(t *testing.T) {
 	}
 }
 
-func TestPredictAndConfusion(t *testing.T) {
-	ds := smallData(t, 60)
-	model := smallCNN(5)
-	if _, err := Fit(model, ds, Config{Epochs: 4, BatchSize: 20, Optimizer: NewAdam(3e-3)}); err != nil {
-		t.Fatal(err)
-	}
-	preds := Predict(model, ds.X)
-	if len(preds) != ds.Len() {
-		t.Fatalf("Predict returned %d results", len(preds))
-	}
-	cm := ConfusionMatrix(model, ds, 32)
-	if len(cm) != 10 {
-		t.Fatalf("confusion matrix has %d rows", len(cm))
-	}
-	total := 0
-	for _, row := range cm {
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total != ds.Len() {
-		t.Errorf("confusion matrix sums to %d, want %d", total, ds.Len())
-	}
-}
-
 func TestScheduleDrivesOptimizer(t *testing.T) {
 	ds := smallData(t, 20)
 	model := smallCNN(6)

@@ -195,21 +195,3 @@ func predictLogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, 
 	tp.Release()
 	return preds, out
 }
-
-// ConfusionMatrix returns the [classes][classes] count matrix with rows =
-// true label, columns = prediction.
-func ConfusionMatrix(model nn.Classifier, ds *dataset.Dataset, batchSize int) [][]int {
-	c := ds.NumClasses()
-	m := make([][]int, c)
-	for i := range m {
-		m[i] = make([]int, c)
-	}
-	for _, b := range ds.Batches(batchSize) {
-		tp := autodiff.NewTape()
-		logits := model.Logits(tp, tp.Const(b.X))
-		for i, p := range tensor.ArgmaxRows(logits.Data) {
-			m[b.Y[i]][p]++
-		}
-	}
-	return m
-}
