@@ -354,6 +354,9 @@ func BenchmarkMatMul128(b *testing.B) {
 	}
 }
 
+// BenchmarkLIFStep and BenchmarkALIFStep time one taped neuron step
+// the way train.Fit runs it: the tape is released after every step, so
+// the step's slabs cycle through the backend arena.
 func BenchmarkLIFStep(b *testing.B) {
 	r := tensor.NewRand(3, 3)
 	cfg := snn.DefaultNeuronConfig()
@@ -363,6 +366,21 @@ func BenchmarkLIFStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := autodiff.NewTape()
 		snn.LIFStep(tp, cfg, tp.Const(cur), tp.Const(mem))
+		tp.Release()
+	}
+}
+
+func BenchmarkALIFStep(b *testing.B) {
+	r := tensor.NewRand(3, 3)
+	cfg := snn.AdaptiveConfig{NeuronConfig: snn.DefaultNeuronConfig(), AdaptStep: 0.2, AdaptDecay: 0.8}
+	cur := tensor.RandN(r, 0.5, 0.5, 32, 256)
+	mem := tensor.RandN(r, 0, 0.3, 32, 256)
+	ex := tensor.RandU(r, 0, 0.3, 32, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tp := autodiff.NewTape()
+		snn.ALIFStep(tp, cfg, tp.Const(cur), &snn.ALIFState{V: tp.Const(mem), ThExcess: ex})
+		tp.Release()
 	}
 }
 

@@ -42,6 +42,7 @@ func Activity(net *snn.Network, x *tensor.Tensor) ActivityProfile {
 	defer func() { net.Record = old }()
 	tp := autodiff.NewTape()
 	net.Logits(tp, tp.Const(x))
+	tp.Release()
 	p := ActivityProfile{
 		LayerRates: append([]float64(nil), rec.SpikeRates...),
 		OutputRate: rec.OutputRate,
@@ -140,6 +141,7 @@ func Margins(model nn.Classifier, x *tensor.Tensor, y []int) MarginStats {
 			neg++
 		}
 	}
+	tp.Release() // logits alias arena memory from here on
 	ms.Mean /= float64(n)
 	ms.NegativeFraction = float64(neg) / float64(n)
 	return ms

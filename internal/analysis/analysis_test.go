@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"snnsec/internal/compute"
 	"snnsec/internal/dataset"
 	"snnsec/internal/nn"
 	"snnsec/internal/snn"
@@ -161,5 +163,41 @@ func TestWriteVthSweep(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(s), "\n")) != 3 {
 		t.Errorf("sweep table rows:\n%s", s)
+	}
+}
+
+// arenaSpy counts the buffers drawn from and returned to a backend's
+// arena.
+type arenaSpy struct {
+	compute.Backend
+	gets, puts atomic.Int64
+}
+
+func (s *arenaSpy) Get(n int) []float64 {
+	s.gets.Add(1)
+	return s.Backend.Get(n)
+}
+
+func (s *arenaSpy) Put(buf []float64) {
+	s.puts.Add(1)
+	s.Backend.Put(buf)
+}
+
+// TestDiagnosticsReturnTheirSlabs pins that Activity and Margins release
+// their tapes: every LIF slab they draw from the default backend's arena
+// goes back to it.
+func TestDiagnosticsReturnTheirSlabs(t *testing.T) {
+	x, y, _ := smallBatch(t)
+	defer compute.SetDefault(compute.Default())
+	for name, run := range map[string]func(){
+		"Activity": func() { Activity(smallNet(0.5, 4), x) },
+		"Margins":  func() { Margins(smallNet(0.5, 4), x, y) },
+	} {
+		spy := &arenaSpy{Backend: compute.NewSerial()}
+		compute.SetDefault(spy)
+		run()
+		if gets, puts := spy.gets.Load(), spy.puts.Load(); gets == 0 || gets != puts {
+			t.Errorf("%s: %d arena buffers drawn, %d returned", name, gets, puts)
+		}
 	}
 }

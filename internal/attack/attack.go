@@ -58,12 +58,14 @@ func InputGradient(model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Tenso
 
 // InputGradientOn is InputGradient on an explicit compute backend (nil
 // selects the default): the forward pass and the BPTT backward pass both
-// execute on be.
+// execute on be. The tape's slabs go back to the arena before it
+// returns; the gradient is a Var's caller-owned buffer and survives.
 func InputGradientOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Tensor {
 	tp := autodiff.NewTapeOn(be)
 	xv := tp.Var(x)
 	loss := tp.SoftmaxCrossEntropy(model.Logits(tp, xv), y)
 	tp.Backward(loss)
+	tp.Release()
 	return xv.Grad
 }
 

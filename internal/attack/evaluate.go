@@ -111,7 +111,9 @@ func CurveOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, epsil
 
 func predict(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int {
 	tp := autodiff.NewTapeOn(be)
-	return tensor.ArgmaxRowsOn(tp.Backend(), model.Logits(tp, tp.Const(x)).Data)
+	preds := tensor.ArgmaxRowsOn(tp.Backend(), model.Logits(tp, tp.Const(x)).Data)
+	tp.Release()
+	return preds
 }
 
 func batchLinf(a, b *tensor.Tensor) float64 {

@@ -73,6 +73,7 @@ func (a TargetedPGD) Perturb(model nn.Classifier, x *tensor.Tensor, y []int) *te
 func (a TargetedPGD) Success(model nn.Classifier, adv *tensor.Tensor) int {
 	tp := autodiff.NewTapeOn(a.Backend)
 	preds := tensor.ArgmaxRowsOn(tp.Backend(), model.Logits(tp, tp.Const(adv)).Data)
+	tp.Release()
 	n := 0
 	for _, p := range preds {
 		if p == a.Target {

@@ -5,13 +5,15 @@
 // bounded-queue backpressure.
 //
 // The engine mirrors the taped forward pass kernel for kernel — same
-// density-adaptive sparse-vs-dense dispatch per call, same fused LIF
-// threshold/pack pass, same accumulation order — so its logits are
-// bit-identical to train.Predict's (pinned by the forward-equivalence
-// suite in engine_test.go). What it drops is everything the
-// tape exists for: node and Value allocations, surrogate passes,
-// retained per-timestep activations. Membrane, spike and accumulator
-// state live in backend-arena slabs reused across all T timesteps.
+// density-adaptive sparse-vs-dense dispatch per call, same accumulation
+// order — and runs the very neuron step (snn.FusedStep) and encoder
+// sampling loops (Encoder.EncodeForward) the taped forward runs, so its
+// logits are bit-identical to train.Predict's (the forward-equivalence
+// suite in engine_test.go pins the layer dispatch and readout). What it
+// drops is everything the tape exists for: node and Value allocations,
+// surrogate passes, retained per-timestep activations. Membrane, spike
+// and accumulator state live in backend-arena slabs updated in place
+// and reused across all T timesteps.
 package serve
 
 import (
@@ -120,9 +122,6 @@ func NewEngine(model nn.Classifier, be compute.Backend, sample []int) (*Engine, 
 	case *snn.Network:
 		if err := m.Validate(); err != nil {
 			return nil, err
-		}
-		if _, ok := m.Encoder.(snn.ForwardEncoder); !ok {
-			return nil, fmt.Errorf("serve: encoder %s has no forward-only path", m.Encoder.Name())
 		}
 		if m.Mode != snn.ReadoutSpikeCount && m.Mode != snn.ReadoutMembrane {
 			return nil, fmt.Errorf("serve: unknown readout mode %v", m.Mode)
@@ -289,15 +288,14 @@ func (e *Engine) forwardLayer(l nn.Layer, a act) act {
 
 // popState is the per-population slab set the SNN loop reuses across all
 // T timesteps: membrane (and threshold excess for ALIF), the spike
-// output, and the packed-plane storage.
+// output, and the packed-plane storage. They live in the neuron step's
+// own argument struct, which is built once per population, so a step
+// only sets the input current: MemIn and MemOut alias the membrane
+// slab, and ExIn and ExOut the excess slab (nil for plain LIF).
 type popState struct {
-	mem    []float64
-	ex     []float64
-	spk    []float64
-	bits   []uint64
-	counts []int
-	shape  []int
-	rows   int
+	buf   snn.StepBuffers
+	shape []int
+	rows  int
 }
 
 func (e *Engine) newPopState(be compute.Backend, shape []int, adaptive, pack bool) *popState {
@@ -306,30 +304,40 @@ func (e *Engine) newPopState(be compute.Backend, shape []int, adaptive, pack boo
 		n *= d
 	}
 	st := &popState{shape: append([]int(nil), shape...), rows: shape[0]}
-	st.mem = be.Get(n)
-	clear(st.mem)
-	st.spk = be.Get(n)
+	b := &st.buf
+	b.MemIn = be.Get(n)
+	clear(b.MemIn)
+	b.MemOut = b.MemIn
+	b.Spk = be.Get(n)
 	if adaptive {
-		st.ex = be.Get(n)
-		clear(st.ex)
+		b.ExIn = be.Get(n)
+		clear(b.ExIn)
+		b.ExOut = b.ExIn
 	}
 	if pack {
 		rowLen := n / st.rows
 		words := (rowLen + 63) / 64
-		st.bits = compute.GetUint64(st.rows * words)
-		st.counts = make([]int, st.rows)
+		b.Bits = compute.GetUint64(st.rows * words)
+		b.Counts = make([]int, st.rows)
 	}
 	return st
 }
 
+// step advances the population one timestep on input current cur,
+// updating its state slabs in place (no surrogate: nothing is recorded).
+func (st *popState) step(be compute.Backend, cfg snn.AdaptiveConfig, cur []float64) {
+	st.buf.Cur = cur
+	snn.FusedStep(be, cfg, st.rows, &st.buf)
+}
+
 func (st *popState) release(be compute.Backend) {
-	be.Put(st.mem)
-	be.Put(st.spk)
-	if st.ex != nil {
-		be.Put(st.ex)
+	be.Put(st.buf.MemIn)
+	be.Put(st.buf.Spk)
+	if st.buf.ExIn != nil {
+		be.Put(st.buf.ExIn)
 	}
-	if st.bits != nil {
-		compute.PutUint64(st.bits)
+	if st.buf.Bits != nil {
+		compute.PutUint64(st.buf.Bits)
 	}
 }
 
@@ -400,7 +408,7 @@ func (st *snnState) release(be compute.Backend) {
 }
 
 // stepSNN advances the network one timestep on input activation a:
-// hidden synapses + fused LIF/ALIF threshold passes, then the readout,
+// hidden synapses + the shared LIF/ALIF neuron step, then the readout,
 // accumulating the contribution into st's accumulator(s). This is the
 // shared loop body of the batch forward (snnLogits) and the streaming
 // forward (StatefulRunner.Step); keeping it single-sourced is what makes
@@ -415,19 +423,14 @@ func (e *Engine) stepSNN(st *snnState, a act, packOn bool) {
 			ps = e.newPopState(be, cur.Shape(), nw.Hidden[l].Adapt != nil, packOn)
 			st.states[l] = ps
 		}
-		if ad := nw.Hidden[l].Adapt; ad != nil {
-			cfg := snn.AdaptiveConfig{NeuronConfig: nw.Hidden[l].Cfg, AdaptStep: ad.Step, AdaptDecay: ad.Decay}
-			snn.FusedALIFForward(be, cfg, cur.Data(), ps.mem, ps.ex, ps.spk, ps.rows, ps.bits, ps.counts)
-		} else {
-			snn.FusedLIFForward(be, nw.Hidden[l].Cfg, cur.Data(), ps.mem, ps.spk, ps.rows, ps.bits, ps.counts)
-		}
-		a = act{t: tensor.FromSlice(ps.spk, ps.shape...)}
+		ps.step(be, nw.Hidden[l].Neuron(), cur.Data())
+		a = act{t: tensor.FromSlice(ps.buf.Spk, ps.shape...)}
 		if packOn {
 			// A fresh header per step over the reused word slab: the
 			// popcount index is rebuilt by the fused step, and a new
 			// header keeps the lazily cached density/dense views from
 			// leaking across timesteps.
-			a.sp = tensor.NewSpikeTensorFromBits(ps.bits, ps.counts, ps.shape...)
+			a.sp = tensor.NewSpikeTensorFromBits(ps.buf.Bits, ps.buf.Counts, ps.shape...)
 		}
 	}
 	out := e.forwardLayer(nw.Readout, a).t
@@ -441,8 +444,8 @@ func (e *Engine) stepSNN(st *snnState, a act, packOn bool) {
 			// the plane either).
 			st.outState = e.newPopState(be, out.Shape(), false, false)
 		}
-		snn.FusedLIFForward(be, nw.ReadoutCfg, out.Data(), st.outState.mem, st.outState.spk, st.outState.rows, nil, nil)
-		contribution = st.outState.spk
+		st.outState.step(be, snn.AdaptiveConfig{NeuronConfig: nw.ReadoutCfg}, out.Data())
+		contribution = st.outState.buf.Spk
 	case snn.ReadoutMembrane:
 		if st.outMemT == nil {
 			st.outMemT = tensor.New(out.Shape()...)
@@ -460,18 +463,17 @@ func (e *Engine) stepSNN(st *snnState, a act, packOn bool) {
 
 // snnLogits is the tape-free mirror of snn.Network.Logits: the same
 // T-step loop over the same kernels in the same order, with membrane and
-// accumulator state in reused arena slabs and the LIF threshold step
-// fused (leak → threshold → reset → pack in one pass, no surrogate).
+// accumulator state in reused arena slabs and the neuron step run in
+// place with no surrogate.
 func (e *Engine) snnLogits(x *tensor.Tensor) *tensor.Tensor {
 	nw := e.net
 	be := e.be
-	enc := nw.Encoder.(snn.ForwardEncoder)
 	packOn := compute.PackSpikePlanes()
 
 	st := e.newSNNState()
 	defer st.release(be)
 	for t := 0; t < nw.T; t++ {
-		hT, hSp := enc.EncodeForward(be, x, t)
+		hT, hSp := nw.Encoder.EncodeForward(be, x, t)
 		e.stepSNN(st, act{t: hT, sp: hSp}, packOn)
 	}
 	return tensor.ScaleOn(be, st.acc.t, nw.LogitScale/float64(nw.T))

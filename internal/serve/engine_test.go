@@ -112,19 +112,51 @@ func eqInput() *tensor.Tensor {
 	return x
 }
 
+// eqDrive is one input drive of the equivalence suite: an encoder and
+// the input it encodes.
+type eqDrive struct {
+	name string
+	enc  func() snn.Encoder
+	x    *tensor.Tensor
+}
+
+// eqDrives pins the exact input spike densities of the unnormalised
+// Poisson encoder on an all-ones input, then every other encoder on a
+// random input that reaches both of the Poisson and latency clamps.
+func eqDrives() []eqDrive {
+	var drives []eqDrive
+	for _, gain := range []float64{0, 0.1, 0.5, 1} {
+		drives = append(drives, eqDrive{
+			name: fmt.Sprintf("density=%v", gain),
+			enc:  func() snn.Encoder { return snn.NewPoissonEncoder(gain, eqSeed, 11) },
+			x:    eqInput(),
+		})
+	}
+	xr := tensor.RandU(rand.New(rand.NewPCG(eqSeed, 17)), -0.5, 2.5, eqN, eqC, eqHW, eqHW)
+	return append(drives,
+		eqDrive{"current_gain=2", func() snn.Encoder { return snn.ConstantCurrentEncoder{Gain: 2} }, xr},
+		eqDrive{"poisson_normalised", func() snn.Encoder { return snn.NewNormalizedPoissonEncoder(1, 0.1307, 0.3081, eqSeed, 11) }, xr},
+		eqDrive{"latency", func() snn.Encoder { return snn.LatencyEncoder{Gain: 0.5, T: eqT} }, xr},
+	)
+}
+
 // runBoth evaluates the taped and the tape-free forward on the same
-// network and input, reseeding the Poisson generator before each pass so
+// network and input, reseeding a Poisson generator before each pass so
 // both consume identical spike trains.
 func runBoth(t *testing.T, net *snn.Network, be compute.Backend, x *tensor.Tensor) (taped, free *tensor.Tensor) {
 	t.Helper()
-	enc := net.Encoder.(*snn.PoissonEncoder)
-	enc.Reseed(eqSeed, 11)
+	reseed := func() {
+		if enc, ok := net.Encoder.(*snn.PoissonEncoder); ok {
+			enc.Reseed(eqSeed, 11)
+		}
+	}
+	reseed()
 	taped = train.LogitsOn(be, net, x)
 	eng, err := NewEngine(net, be, x.Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	enc.Reseed(eqSeed, 11)
+	reseed()
 	free, err = eng.Logits(x)
 	if err != nil {
 		t.Fatalf("Engine.Logits: %v", err)
@@ -147,14 +179,14 @@ func assertBitIdentical(t *testing.T, taped, free *tensor.Tensor) {
 }
 
 // TestForwardEquivalence is the pinning suite: every combination of
-// topology × neuron model × readout mode × input spike density ×
-// backend must be bit-identical between the taped and tape-free paths.
+// topology × neuron model × readout mode × input drive (encoder and
+// spike density) × backend must be bit-identical between the taped and
+// tape-free paths.
 func TestForwardEquivalence(t *testing.T) {
 	backends := map[string]compute.Backend{
 		"serial":   compute.NewSerial(),
 		"parallel": compute.NewParallel(4),
 	}
-	x := eqInput()
 	for _, top := range eqTopologies {
 		for _, adapt := range []bool{false, true} {
 			neuron := "lif"
@@ -162,11 +194,13 @@ func TestForwardEquivalence(t *testing.T) {
 				neuron = "alif"
 			}
 			for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
-				for _, gain := range []float64{0, 0.1, 0.5, 1} {
+				for _, d := range eqDrives() {
 					for beName, be := range backends {
-						name := fmt.Sprintf("%s/%s/%s/density=%v/%s", top.name, neuron, mode, gain, beName)
+						name := fmt.Sprintf("%s/%s/%s/%s/%s", top.name, neuron, mode, d.name, beName)
 						t.Run(name, func(t *testing.T) {
-							taped, free := runBoth(t, eqNetwork(top, adapt, mode, gain), be, x)
+							net := eqNetwork(top, adapt, mode, 0)
+							net.Encoder = d.enc()
+							taped, free := runBoth(t, net, be, d.x)
 							assertBitIdentical(t, taped, free)
 						})
 					}

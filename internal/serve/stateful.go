@@ -175,16 +175,16 @@ func (r *StatefulRunner) snapshot() *stateSnap {
 		if ps == nil {
 			continue
 		}
-		s.mems[l] = be.Get(len(ps.mem))
-		copy(s.mems[l], ps.mem)
-		if ps.ex != nil {
-			s.exs[l] = be.Get(len(ps.ex))
-			copy(s.exs[l], ps.ex)
+		s.mems[l] = be.Get(len(ps.buf.MemIn))
+		copy(s.mems[l], ps.buf.MemIn)
+		if ps.buf.ExIn != nil {
+			s.exs[l] = be.Get(len(ps.buf.ExIn))
+			copy(s.exs[l], ps.buf.ExIn)
 		}
 	}
 	if st.outState != nil {
-		s.outMem = be.Get(len(st.outState.mem))
-		copy(s.outMem, st.outState.mem)
+		s.outMem = be.Get(len(st.outState.buf.MemIn))
+		copy(s.outMem, st.outState.buf.MemIn)
 	}
 	if st.acc.n > 0 {
 		s.accSlab = be.Get(len(st.acc.slab))
@@ -208,9 +208,9 @@ func (r *StatefulRunner) restore(s *stateSnap) {
 			st.states[l] = nil
 			continue
 		}
-		copy(ps.mem, s.mems[l])
-		if ps.ex != nil {
-			copy(ps.ex, s.exs[l])
+		copy(ps.buf.MemIn, s.mems[l])
+		if ps.buf.ExIn != nil {
+			copy(ps.buf.ExIn, s.exs[l])
 		}
 	}
 	if st.outState != nil {
@@ -218,7 +218,7 @@ func (r *StatefulRunner) restore(s *stateSnap) {
 			st.outState.release(be)
 			st.outState = nil
 		} else {
-			copy(st.outState.mem, s.outMem)
+			copy(st.outState.buf.MemIn, s.outMem)
 		}
 	}
 	st.outMemT = s.outMemT

@@ -2,10 +2,8 @@ package snn
 
 import (
 	"fmt"
-	"math"
 
 	"snnsec/internal/autodiff"
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
 
@@ -66,136 +64,9 @@ func NewALIFState(tp *autodiff.Tape, shape ...int) *ALIFState {
 // Vth + excess; gradients flow through the membrane path exactly as in
 // LIFStep while the adaptation state is updated out-of-graph.
 func ALIFStep(tp *autodiff.Tape, cfg AdaptiveConfig, current *autodiff.Value, st *ALIFState) (spikes *autodiff.Value, next *ALIFState) {
-	if err := (&cfg).Validate(); err != nil {
-		panic(err)
+	if st.ThExcess == nil {
+		panic("snn: ALIFStep state has no threshold excess")
 	}
-	if !current.Data.SameShape(st.V.Data) || !current.Data.SameShape(st.ThExcess) {
-		panic(fmt.Sprintf("snn: ALIFStep shape mismatch current %v vs state %v/%v",
-			current.Data.Shape(), st.V.Data.Shape(), st.ThExcess.Shape()))
-	}
-	if cfg.Reset != ResetZero && cfg.Reset != ResetSubtract {
-		panic(fmt.Sprintf("snn: unknown reset mode %v", cfg.Reset))
-	}
-	n := current.Data.Len()
-	shape := current.Data.Shape()
-	be := tp.Backend()
-
-	// One slab for the three tape-lived arrays, drawn from the backend
-	// arena and recycled by Tape.Release (see LIFStep); the loop below
-	// fully overwrites all three sections.
-	slab := be.Get(3 * n)
-	tp.OwnBuffer(slab)
-	spk := slab[0*n : 1*n : 1*n]
-	vout := slab[1*n : 2*n : 2*n]
-	surr := slab[2*n : 3*n : 3*n]
-	newExcess := tensor.New(shape...)
-	cv, mv, ex, ne := current.Data.Data(), st.V.Data.Data(), st.ThExcess.Data(), newExcess.Data()
-	// Devirtualise the default surrogate (see LIFStep); the inline
-	// expression is FastSigmoid.Grad verbatim.
-	fs, isFS := cfg.Surrogate.(FastSigmoid)
-	// Pack the spike plane inline while thresholding, exactly as
-	// LIFStep does: the loop is partitioned by (word-aligned) row, so
-	// bit writes stay block-local and a dense-kernel run pays nothing.
-	rows := shape[0]
-	rowLen := n / rows
-	words := (rowLen + 63) / 64
-	packOn := compute.PackSpikePlanes()
-	var spkBits []uint64
-	var spkCounts []int
-	if packOn {
-		// Tape-lived like the slab; every word is stored exactly once.
-		spkBits = compute.GetUint64(rows * words)
-		tp.OwnWords(spkBits)
-		spkCounts = make([]int, rows)
-	}
-	be.ParallelFor(rows, 2048/rowLen, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r * rowLen
-			wi := r * words
-			var wrd uint64
-			cnt := 0
-			for j := 0; j < rowLen; j++ {
-				i := base + j
-				p := cfg.Alpha*mv[i] + cv[i]
-				th := cfg.Vth + ex[i]
-				var s float64
-				if p > th {
-					s = 1
-					if packOn {
-						wrd |= 1 << (uint(j) & 63)
-						cnt++
-					}
-				}
-				spk[i] = s
-				if isFS {
-					d := 1 + fs.Beta*math.Abs(p-th)
-					surr[i] = 1 / (d * d)
-				} else {
-					surr[i] = cfg.Surrogate.Grad(p - th)
-				}
-				if cfg.Reset == ResetZero {
-					vout[i] = p * (1 - s)
-				} else {
-					vout[i] = p - th*s
-				}
-				ne[i] = ex[i]*cfg.AdaptDecay + cfg.AdaptStep*s
-				if packOn && j&63 == 63 {
-					spkBits[wi] = wrd
-					wi++
-					wrd = 0
-				}
-			}
-			if packOn {
-				if rowLen&63 != 0 {
-					spkBits[wi] = wrd
-				}
-				spkCounts[r] = cnt
-			}
-		}
-	})
-
-	spikeT := tensor.FromSlice(spk, shape...)
-	membrane := st.V
-	spikes = tp.NewOp(spikeT, func(g *tensor.Tensor) {
-		gd := g.Data()
-		dI, dV := stepScratch(be, n)
-		be.ParallelFor(n, 2048, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dI[i] = gd[i] * surr[i]
-				dV[i] = dI[i] * cfg.Alpha
-			}
-		})
-		current.AccumGrad(tensor.FromSlice(dI, shape...))
-		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
-		releaseStepScratch(be, dI, dV)
-	}, current, membrane)
-	// Adaptive populations emit binary planes too: attach the plane
-	// packed inline above so downstream synapses take the spike kernels.
-	if packOn {
-		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
-	}
-
-	vT := tensor.FromSlice(vout, shape...)
-	vNode := tp.NewOp(vT, func(g *tensor.Tensor) {
-		gd := g.Data()
-		dI, dV := stepScratch(be, n)
-		be.ParallelFor(n, 2048, func(lo, hi int) {
-			if cfg.Reset == ResetZero {
-				for i := lo; i < hi; i++ {
-					dI[i] = gd[i] * (1 - spk[i])
-					dV[i] = dI[i] * cfg.Alpha
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					dI[i] = gd[i]
-					dV[i] = gd[i] * cfg.Alpha
-				}
-			}
-		})
-		current.AccumGrad(tensor.FromSlice(dI, shape...))
-		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
-		releaseStepScratch(be, dI, dV)
-	}, current, membrane)
-
-	return spikes, &ALIFState{V: vNode, ThExcess: newExcess}
+	spikes, v, ex := step(tp, cfg, current, st.V, st.ThExcess)
+	return spikes, &ALIFState{V: v, ThExcess: ex}
 }

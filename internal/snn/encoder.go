@@ -18,8 +18,47 @@ type Encoder interface {
 	// Encode returns the input drive at timestep t for the static input
 	// x (shape [N,C,H,W] or [N,D]).
 	Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value
+	// EncodeForward returns the same drive without a tape, for the
+	// tape-free inference engine: the dense tensor and, when spike
+	// packing is on and the drive is binary, its packed plane (nil
+	// otherwise). The spike encoders' Encode is EncodeForward plus the
+	// recorded pullback, so both consume any internal randomness
+	// identically and emit the same bits.
+	EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor)
 	// Name identifies the encoder in reports.
 	Name() string
+}
+
+// recordDrive records enc's forward drive for step t on the tape, with
+// the packed plane attached so the first synapse runs the spike
+// kernels. The pullback accumulates dx[i] = grad(g[i], x[i]) into x; a
+// nil grad records a constant drive (zero gradient).
+func recordDrive(tp *autodiff.Tape, enc Encoder, x *autodiff.Value, t int, grad func(g, xi float64) float64) *autodiff.Value {
+	out, plane := enc.EncodeForward(tp.Backend(), x.Data, t)
+	v := tp.NewOp(out, func(g *tensor.Tensor) {
+		if grad == nil {
+			return
+		}
+		gd, xd := g.Data(), x.Data.Data()
+		dx := make([]float64, len(gd))
+		for i := range dx {
+			dx[i] = grad(gd[i], xd[i])
+		}
+		x.AccumGrad(tensor.FromSlice(dx, x.Data.Shape()...))
+	}, x)
+	if plane != nil {
+		v.AttachSpikes(plane)
+	}
+	return v
+}
+
+// withPlane pairs a binary drive with its packed plane when spike
+// packing is on.
+func withPlane(be compute.Backend, out *tensor.Tensor) (*tensor.Tensor, *tensor.SpikeTensor) {
+	if compute.PackSpikePlanes() {
+		return out, tensor.PackSpikesOn(be, out)
+	}
+	return out, nil
 }
 
 // ConstantCurrentEncoder injects the (scaled) analog input as synaptic
@@ -38,6 +77,15 @@ func (e ConstantCurrentEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t i
 		return x
 	}
 	return tp.Scale(x, e.Gain)
+}
+
+// EncodeForward returns Gain·x regardless of t. The analog drive is not
+// binary, so it carries no packed plane.
+func (e ConstantCurrentEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
+	if e.Gain == 1 {
+		return x, nil
+	}
+	return tensor.ScaleOn(be, x, e.Gain), nil
 }
 
 // Name returns "constant_current(gain)".
@@ -77,21 +125,43 @@ func (e *PoissonEncoder) Reseed(seed1, seed2 uint64) {
 	e.rng = rand.New(rand.NewPCG(seed1, seed2))
 }
 
+// scale returns Scale, defaulting a zero Scale to 1.
+func (e *PoissonEncoder) scale() float64 {
+	if e.Scale == 0 {
+		return 1
+	}
+	return e.Scale
+}
+
+// rate is the unclamped spike probability of input value xi.
+func (e *PoissonEncoder) rate(scale, xi float64) float64 {
+	return e.Gain * (scale*xi + e.Offset)
+}
+
 // Encode samples a Bernoulli spike tensor from the rate
 // clamp(Gain·(Scale·x+Offset), 0, 1).
 func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
-	scale := e.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	n := x.Data.Len()
-	shape := x.Data.Shape()
-	xd := x.Data.Data()
-	spikes := make([]float64, n)
-	inRegion := make([]bool, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * (scale*xd[i] + e.Offset)
-		inRegion[i] = p > 0 && p < 1
+	scale := e.scale()
+	return recordDrive(tp, e, x, t, func(g, xi float64) float64 {
+		// Straight-through: d rate/dx = Gain·Scale inside the linear
+		// region, zero where the rate saturates.
+		if p := e.rate(scale, xi); p > 0 && p < 1 {
+			return g * e.Gain * scale
+		}
+		return 0
+	})
+}
+
+// EncodeForward samples the spike train: one generator draw per element.
+// Rate-coded trains are binary, so packing them lets the first synapse
+// run the spike kernels and the whole forward pass stays in packed form
+// from the pixels to the readout.
+func (e *PoissonEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
+	scale := e.scale()
+	xd := x.Data()
+	spikes := make([]float64, len(xd))
+	for i := range xd {
+		p := e.rate(scale, xd[i])
 		if p < 0 {
 			p = 0
 		} else if p > 1 {
@@ -101,26 +171,7 @@ func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *au
 			spikes[i] = 1
 		}
 	}
-	out := tensor.FromSlice(spikes, shape...)
-	v := tp.NewOp(out, func(g *tensor.Tensor) {
-		// Straight-through: d rate/dx = Gain·Scale inside the linear
-		// region, zero where the rate saturates.
-		gd := g.Data()
-		dx := make([]float64, n)
-		for i := range dx {
-			if inRegion[i] {
-				dx[i] = gd[i] * e.Gain * scale
-			}
-		}
-		x.AccumGrad(tensor.FromSlice(dx, shape...))
-	}, x)
-	// Rate-coded trains are binary: packing them here lets the first
-	// synapse run the spike kernels, so the whole forward pass stays in
-	// packed form from the pixels to the readout.
-	if compute.PackSpikePlanes() {
-		v.AttachSpikes(tensor.PackSpikesOn(tp.Backend(), out))
-	}
-	return v
+	return withPlane(be, tensor.FromSlice(spikes, x.Shape()...))
 }
 
 // Name returns "poisson(gain)".
@@ -138,47 +189,44 @@ type LatencyEncoder struct {
 	T int
 }
 
-// Encode emits the latency-coded spikes for step t.
+// fires reports whether a pixel of value xi spikes at step t: intensity
+// p = Gain·xi clamped to (0,1] spikes at floor((1−p)·(T−1)).
+func (e LatencyEncoder) fires(xi float64, t int) bool {
+	p := e.Gain * xi
+	if p <= 0 {
+		return false
+	}
+	if p > 1 {
+		p = 1
+	}
+	return int((1-p)*float64(e.T-1)) == t
+}
+
+// Encode emits the latency-coded spikes for step t, with the
+// straight-through gradient Gain on the spiking pixels.
 func (e LatencyEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
+	return recordDrive(tp, e, x, t, func(g, xi float64) float64 {
+		if e.fires(xi, t) {
+			return g * e.Gain
+		}
+		return 0
+	})
+}
+
+// EncodeForward emits the latency-coded spikes for step t. A step is
+// binary (at most one spike per pixel), so it packs like the rate code.
+func (e LatencyEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
 	if e.T <= 0 {
 		panic("snn: LatencyEncoder requires positive T")
 	}
-	n := x.Data.Len()
-	shape := x.Data.Shape()
-	xd := x.Data.Data()
-	spikes := make([]float64, n)
-	active := make([]bool, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * xd[i]
-		if p <= 0 {
-			continue
-		}
-		if p > 1 {
-			p = 1
-		}
-		step := int((1 - p) * float64(e.T-1))
-		if step == t {
+	xd := x.Data()
+	spikes := make([]float64, len(xd))
+	for i := range xd {
+		if e.fires(xd[i], t) {
 			spikes[i] = 1
-			active[i] = true
 		}
 	}
-	out := tensor.FromSlice(spikes, shape...)
-	v := tp.NewOp(out, func(g *tensor.Tensor) {
-		gd := g.Data()
-		dx := make([]float64, n)
-		for i := range dx {
-			if active[i] {
-				dx[i] = gd[i] * e.Gain
-			}
-		}
-		x.AccumGrad(tensor.FromSlice(dx, shape...))
-	}, x)
-	// A latency-coded step is binary (at most one spike per pixel), so
-	// it packs the same way as the rate code.
-	if compute.PackSpikePlanes() {
-		v.AttachSpikes(tensor.PackSpikesOn(tp.Backend(), out))
-	}
-	return v
+	return withPlane(be, tensor.FromSlice(spikes, x.Shape()...))
 }
 
 // Name returns "latency(gain,T)".

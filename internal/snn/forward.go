@@ -2,225 +2,182 @@ package snn
 
 import (
 	"fmt"
+	"math"
+	mathbits "math/bits"
 
 	"snnsec/internal/compute"
-	"snnsec/internal/tensor"
 )
 
-// Forward-only producers for the tape-free inference engine
-// (internal/serve). These mirror LIFStep/ALIFStep/Encode elementwise
-// expression for elementwise expression — same leak, threshold, reset
-// and packing — but record nothing: no surrogate pass, no pullbacks, no
-// tape-owned allocations. State lives in caller-provided slabs that the
-// engine draws from the backend arena and reuses across timesteps, so a
-// T-step forward touches a fixed working set instead of T tapes' worth
-// of activations. Because every float expression is the taped producer's
-// verbatim, the results are bit-identical to the taped forward
-// (pinned by the forward-equivalence suite in internal/serve).
+// The neuron step: the one implementation of the per-timestep LIF/ALIF
+// math, where the paper's structural knobs act — Vth is its threshold
+// compare, T the number of times it runs. Every caller runs it: the
+// taped producers (LIFStep, ALIFStep, Network.Logits) pass fresh
+// tape-owned slabs and ask for the surrogate their pullbacks read, and
+// the tape-free inference engine (internal/serve) updates its arena
+// state in place with no surrogate. The encoders are single-sourced the
+// same way (Encoder.EncodeForward), so the taped and tape-free forwards
+// agree bit for bit by construction. TestForwardBackwardGolden pins the
+// absolute bits; the forward-equivalence suite in internal/serve pins
+// what the engine does on its own (layer dispatch, readout, accumulation).
 
-// ForwardEncoder is implemented by encoders that can emit a timestep
-// without a tape. EncodeForward returns the dense drive and, when spike
-// packing is on and the drive is binary, its packed plane (nil
-// otherwise). Implementations must consume any internal randomness
-// exactly as Encode does, so a reseeded encoder produces the same spike
-// trains on either path.
-type ForwardEncoder interface {
-	Encoder
-	EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor)
+// StepBuffers are the per-element arrays of one FusedStep call, each
+// len(Cur) long unless noted.
+type StepBuffers struct {
+	// Cur is the synaptic input I[t].
+	Cur []float64
+	// MemIn is the membrane v[t−1]; MemOut receives v[t]. They may be
+	// the same slice, which updates the membrane in place.
+	MemIn, MemOut []float64
+	// ExIn is the threshold excess (th − Vth) before the step and ExOut
+	// receives it after (they may alias, like the membrane). Both nil
+	// run a plain LIF population.
+	ExIn, ExOut []float64
+	// Spk receives the binary spikes s[t].
+	Spk []float64
+	// Surr, when non-nil, receives the surrogate derivative dH/dpre
+	// that the taped pullbacks read.
+	Surr []float64
+	// Bits and Counts, when non-nil, receive the bit-packed spike plane
+	// (rows·ceil(rowLen/64) words, row-aligned) and its per-row
+	// popcounts. A nil Bits skips packing, e.g. for a readout
+	// population whose spikes only feed an elementwise accumulator.
+	Bits   []uint64
+	Counts []int
 }
 
-// EncodeForward returns Gain·x regardless of t. Like Encode, the output
-// carries no packed plane: the analog drive is not binary.
-func (e ConstantCurrentEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
-	if e.Gain == 1 {
-		return x, nil
-	}
-	return tensor.ScaleOn(be, x, e.Gain), nil
-}
+// lifGrain is the elementwise work per parallel block of the neuron
+// step and its pullbacks.
+const lifGrain = 2048
 
-// EncodeForward samples the same Bernoulli spike train as Encode — one
-// generator draw per element, identical clamping — without recording the
-// straight-through estimator.
-func (e *PoissonEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
-	scale := e.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	n := x.Len()
-	xd := x.Data()
-	spikes := make([]float64, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * (scale*xd[i] + e.Offset)
-		if p < 0 {
-			p = 0
-		} else if p > 1 {
-			p = 1
-		}
-		if e.rng.Float64() < p {
-			spikes[i] = 1
-		}
-	}
-	out := tensor.FromSlice(spikes, x.Shape()...)
-	if compute.PackSpikePlanes() {
-		return out, tensor.PackSpikesOn(be, out)
-	}
-	return out, nil
-}
-
-// EncodeForward emits the latency-coded spikes for step t without
-// recording the straight-through estimator.
-func (e LatencyEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
-	if e.T <= 0 {
-		panic("snn: LatencyEncoder requires positive T")
-	}
-	n := x.Len()
-	xd := x.Data()
-	spikes := make([]float64, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * xd[i]
-		if p <= 0 {
-			continue
-		}
-		if p > 1 {
-			p = 1
-		}
-		if int((1-p)*float64(e.T-1)) == t {
-			spikes[i] = 1
-		}
-	}
-	out := tensor.FromSlice(spikes, x.Shape()...)
-	if compute.PackSpikePlanes() {
-		return out, tensor.PackSpikesOn(be, out)
-	}
-	return out, nil
-}
-
-// FusedLIFForward advances one LIF population one timestep without a
-// tape: leak, integrate, threshold, reset and bit-pack fused into a
-// single pass over the population. cur is the synaptic input I[t]; mem
-// the membrane state v[t−1], updated IN PLACE to v[t]; spk receives the
-// binary spikes s[t] (len(cur) each). rows is the leading (batch)
-// dimension the packed plane is row-aligned on. When bits is non-nil the
-// plane is packed into bits/counts (rows·words and rows long, exactly as
-// LIFStep lays them out); a nil bits skips packing, e.g. for a readout
-// population whose spikes only feed an elementwise accumulator.
+// FusedStep advances one LIF population one timestep: leak, integrate,
+// threshold and reset, then threshold adaptation when b.ExIn is non-nil,
+// then the optional surrogate and bit-packing, fused into one pass per
+// row of the population:
 //
-// The per-element expressions are LIFStep's verbatim, so the results are
-// bit-identical to the taped step.
-func FusedLIFForward(be compute.Backend, cfg NeuronConfig, cur, mem, spk []float64, rows int, bits []uint64, counts []int) {
+//	pre  = α·v[t−1] + I[t]
+//	th   = Vth + excess[t−1]          (th = Vth without adaptation)
+//	s[t] = H(pre − th)
+//	v[t] = pre·(1−s[t])              (ResetZero)
+//	v[t] = pre − th·s[t]             (ResetSubtract)
+//	excess[t] = excess[t−1]·AdaptDecay + AdaptStep·s[t]
+//
+// rows is the leading (batch) dimension the packed plane is row-aligned
+// on. The pass is partitioned by row, so the bit writes are block-local.
+// cfg's adaptation fields are ignored for a plain LIF population.
+// FusedStep writes through b's slices but never changes *b, so a caller
+// that steps one population every timestep builds b once and sets Cur
+// before each call.
+func FusedStep(be compute.Backend, cfg AdaptiveConfig, rows int, b *StepBuffers) {
 	if err := (&cfg).Validate(); err != nil {
 		panic(err)
 	}
 	if cfg.Reset != ResetZero && cfg.Reset != ResetSubtract {
 		panic(fmt.Sprintf("snn: unknown reset mode %v", cfg.Reset))
 	}
-	n := len(cur)
-	if len(mem) != n || len(spk) != n {
-		panic(fmt.Sprintf("snn: FusedLIFForward slab sizes %d/%d for %d neurons", len(mem), len(spk), n))
+	n := len(b.Cur)
+	adapt := b.ExIn != nil
+	surrOn := b.Surr != nil
+	packOn := b.Bits != nil
+	if len(b.MemIn) != n || len(b.MemOut) != n || len(b.Spk) != n ||
+		adapt && (len(b.ExIn) != n || len(b.ExOut) != n) || surrOn && len(b.Surr) != n {
+		panic(fmt.Sprintf("snn: FusedStep slab sizes mem %d/%d excess %d/%d spikes %d surrogate %d for %d neurons",
+			len(b.MemIn), len(b.MemOut), len(b.ExIn), len(b.ExOut), len(b.Spk), len(b.Surr), n))
 	}
-	const lifGrain = 2048
 	rowLen := n / rows
 	words := (rowLen + 63) / 64
-	packOn := bits != nil
-	if packOn && (len(bits) != rows*words || len(counts) != rows) {
-		panic(fmt.Sprintf("snn: FusedLIFForward pack storage %d/%d for %d rows × %d words", len(bits), len(counts), rows, words))
+	if packOn && (len(b.Bits) != rows*words || len(b.Counts) != rows) {
+		panic(fmt.Sprintf("snn: FusedStep pack storage %d/%d for %d rows × %d words", len(b.Bits), len(b.Counts), rows, words))
 	}
+	// Devirtualise the default surrogate: an interface call per neuron
+	// per timestep dominates the elementwise pass otherwise. The inline
+	// expression is FastSigmoid.Grad verbatim.
+	fs, isFS := cfg.Surrogate.(FastSigmoid)
 	be.ParallelFor(rows, lifGrain/rowLen, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
+			// A plain LIF or surrogate-free step points the views it does
+			// not use at the membrane; the flags keep them untouched.
 			base := r * rowLen
-			wi := r * words
-			var wrd uint64
-			cnt := 0
-			for j := 0; j < rowLen; j++ {
-				i := base + j
-				p := cfg.Alpha*mem[i] + cur[i]
-				var s float64
-				if p > cfg.Vth {
-					s = 1
-					if packOn {
-						wrd |= 1 << (uint(j) & 63)
-						cnt++
-					}
-				}
-				spk[i] = s
-				if cfg.Reset == ResetZero {
-					mem[i] = p * (1 - s)
-				} else {
-					mem[i] = p - cfg.Vth*s
-				}
-				if packOn && j&63 == 63 {
-					bits[wi] = wrd
-					wi++
-					wrd = 0
-				}
+			cur := b.Cur[base : base+rowLen]
+			memIn, memOut, spk := b.MemIn[base:], b.MemOut[base:], b.Spk[base:]
+			exIn, exOut, surr := memIn, memOut, memOut
+			if adapt {
+				exIn, exOut = b.ExIn[base:], b.ExOut[base:]
 			}
+			if surrOn {
+				surr = b.Surr[base:]
+			}
+			var bits []uint64
 			if packOn {
-				if rowLen&63 != 0 {
-					bits[wi] = wrd
+				bits = b.Bits[r*words:][:words]
+			}
+			stepRow(&cfg, cur, memIn, memOut, exIn, exOut, spk, surr, bits, adapt, surrOn)
+			if packOn {
+				cnt := 0
+				for _, w := range bits {
+					cnt += mathbits.OnesCount64(w)
 				}
-				counts[r] = cnt
+				b.Counts[r] = cnt
+			}
+			// The surrogate is evaluated at the threshold distance
+			// pre − th stepRow stored, in a second pass over the row that
+			// keeps the surrogate call out of the hot loop.
+			if surrOn && isFS {
+				for j, u := range surr[:rowLen] {
+					d := 1 + fs.Beta*math.Abs(u)
+					surr[j] = 1 / (d * d)
+				}
+			} else if surrOn {
+				for j, u := range surr[:rowLen] {
+					surr[j] = cfg.Surrogate.Grad(u)
+				}
 			}
 		}
 	})
 }
 
-// FusedALIFForward is FusedLIFForward for an adaptive-threshold (ALIF)
-// population: ex carries the threshold excess (th − Vth), updated IN
-// PLACE alongside the membrane. Expressions mirror ALIFStep verbatim.
-func FusedALIFForward(be compute.Backend, cfg AdaptiveConfig, cur, mem, ex, spk []float64, rows int, bits []uint64, counts []int) {
-	if err := (&cfg).Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Reset != ResetZero && cfg.Reset != ResetSubtract {
-		panic(fmt.Sprintf("snn: unknown reset mode %v", cfg.Reset))
-	}
-	n := len(cur)
-	if len(mem) != n || len(ex) != n || len(spk) != n {
-		panic(fmt.Sprintf("snn: FusedALIFForward slab sizes %d/%d/%d for %d neurons", len(mem), len(ex), len(spk), n))
-	}
-	rowLen := n / rows
-	words := (rowLen + 63) / 64
+// stepRow is FusedStep's per-element loop over one row. The views are
+// cut to len(cur) up front so the compiler drops the per-element bounds
+// checks; a nil bits skips packing.
+func stepRow(cfg *AdaptiveConfig, cur, memIn, memOut, exIn, exOut, spk, surr []float64, bits []uint64, adapt, surrOn bool) {
+	memIn, memOut, spk = memIn[:len(cur)], memOut[:len(cur)], spk[:len(cur)]
+	exIn, exOut, surr = exIn[:len(cur)], exOut[:len(cur)], surr[:len(cur)]
 	packOn := bits != nil
-	if packOn && (len(bits) != rows*words || len(counts) != rows) {
-		panic(fmt.Sprintf("snn: FusedALIFForward pack storage %d/%d for %d rows × %d words", len(bits), len(counts), rows, words))
-	}
-	be.ParallelFor(rows, 2048/rowLen, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r * rowLen
-			wi := r * words
-			var wrd uint64
-			cnt := 0
-			for j := 0; j < rowLen; j++ {
-				i := base + j
-				p := cfg.Alpha*mem[i] + cur[i]
-				th := cfg.Vth + ex[i]
-				var s float64
-				if p > th {
-					s = 1
-					if packOn {
-						wrd |= 1 << (uint(j) & 63)
-						cnt++
-					}
-				}
-				spk[i] = s
-				if cfg.Reset == ResetZero {
-					mem[i] = p * (1 - s)
-				} else {
-					mem[i] = p - th*s
-				}
-				ex[i] = ex[i]*cfg.AdaptDecay + cfg.AdaptStep*s
-				if packOn && j&63 == 63 {
-					bits[wi] = wrd
-					wi++
-					wrd = 0
-				}
-			}
-			if packOn {
-				if rowLen&63 != 0 {
-					bits[wi] = wrd
-				}
-				counts[r] = cnt
+	var wrd uint64
+	for j := range cur {
+		p := cfg.Alpha*memIn[j] + cur[j]
+		th := cfg.Vth
+		if adapt {
+			th = cfg.Vth + exIn[j]
+		}
+		// The spike decision is an integer select rather than a
+		// branch: spikes are data-dependent, and a mispredicted
+		// branch per neuron costs more than the whole update.
+		fire := 0
+		if p > th {
+			fire = 1
+		}
+		s := float64(fire)
+		spk[j] = s
+		if surrOn {
+			surr[j] = p - th
+		}
+		if cfg.Reset == ResetZero {
+			memOut[j] = p * (1 - s)
+		} else {
+			memOut[j] = p - th*s
+		}
+		if adapt {
+			exOut[j] = exIn[j]*cfg.AdaptDecay + cfg.AdaptStep*s
+		}
+		if packOn {
+			wrd |= uint64(fire) << (uint(j) & 63)
+			if j&63 == 63 {
+				bits[j>>6] = wrd
+				wrd = 0
 			}
 		}
-	})
+	}
+	if packOn && len(cur)&63 != 0 {
+		bits[len(bits)-1] = wrd
+	}
 }

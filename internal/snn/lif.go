@@ -2,7 +2,6 @@ package snn
 
 import (
 	"fmt"
-	"math"
 
 	"snnsec/internal/autodiff"
 	"snnsec/internal/compute"
@@ -86,133 +85,78 @@ func DefaultNeuronConfig() NeuronConfig {
 // value, not through its dependence on pre. This keeps BPTT stable and
 // matches what the paper's software stack does.
 func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value) (spikes, newMembrane *autodiff.Value) {
-	if err := (&cfg).Validate(); err != nil {
-		panic(err)
-	}
-	if !current.Data.SameShape(membrane.Data) {
-		panic(fmt.Sprintf("snn: LIFStep current %v vs membrane %v shape mismatch", current.Data.Shape(), membrane.Data.Shape()))
-	}
-	if cfg.Reset != ResetZero && cfg.Reset != ResetSubtract {
-		panic(fmt.Sprintf("snn: unknown reset mode %v", cfg.Reset))
+	spikes, newMembrane, _ = step(tp, AdaptiveConfig{NeuronConfig: cfg}, current, membrane, nil)
+	return spikes, newMembrane
+}
+
+// step is the taped neuron step behind LIFStep, ALIFStep and
+// Network.Logits: FusedStep into fresh tape-owned slabs, keeping v[t−1]
+// intact and recording the surrogate, then the spike and membrane
+// pullbacks. A nil excess runs a plain LIF population; otherwise the
+// adapted excess is returned in a new tensor.
+func step(tp *autodiff.Tape, cfg AdaptiveConfig, current, membrane *autodiff.Value, excess *tensor.Tensor) (spikes, newMembrane *autodiff.Value, newExcess *tensor.Tensor) {
+	if !current.Data.SameShape(membrane.Data) || excess != nil && !current.Data.SameShape(excess) {
+		panic(fmt.Sprintf("snn: neuron step shape mismatch: current %v, membrane %v", current.Data.Shape(), membrane.Data.Shape()))
 	}
 	n := current.Data.Len()
 	shape := current.Data.Shape()
 	be := tp.Backend()
 
-	// The per-neuron state update is embarrassingly parallel, and for a
-	// convolutional population n is N·C·H·W — large enough that the BPTT
-	// hot loop is worth running on the backend. Only the tensors the
-	// tape retains (spikes, membrane, the surrogate for the pullback)
-	// are allocated; the pullback scratch below comes from the pooled
-	// per-step workspace.
-	const lifGrain = 2048
-	// One slab for the three tape-lived arrays: a third of the
-	// allocations per step. The slab comes from the backend arena and is
-	// registered with the tape, so Tape.Release recycles it once the
-	// step's values are dead — a T-step unrolled network cycles through a
-	// working set of slabs instead of holding every timestep's
-	// activations. The loop below fully overwrites all three sections, so
+	// One slab for the three tape-lived arrays, drawn from the backend
+	// arena and registered with the tape, so Tape.Release recycles it
+	// once the step's values are dead: a T-step unrolled network cycles
+	// through a working set of slabs instead of holding every timestep's
+	// activations. FusedStep fully overwrites all three sections, so
 	// the dirty pooled memory never leaks into results.
 	slab := be.Get(3 * n)
 	tp.OwnBuffer(slab)
-	spk := slab[0*n : 1*n : 1*n]  // binary spikes
-	vout := slab[1*n : 2*n : 2*n] // post-reset membrane
-	surr := slab[2*n : 3*n : 3*n] // surrogate dH/dpre
-	cv := current.Data.Data()
-	mv := membrane.Data.Data()
-	// Devirtualise the default surrogate: an interface call per neuron
-	// per timestep dominates the elementwise pass otherwise. The inline
-	// expression is FastSigmoid.Grad verbatim, so the results are
-	// bit-identical to the interface path.
-	fs, isFS := cfg.Surrogate.(FastSigmoid)
-	// The threshold step is the producer of the network's binary
-	// planes: when the spike dispatch is on, the loop packs the plane
-	// while it thresholds (rows are word-aligned, and the loop is
-	// partitioned by row, so the bit writes are block-local); a
-	// dense-kernel run pays no packing cost. rowGrain ≤ 1 is the
-	// dispatch-worthy-row case: one row alone exceeds lifGrain work.
-	rows := shape[0]
-	rowLen := n / rows
-	words := (rowLen + 63) / 64
-	packOn := compute.PackSpikePlanes()
-	var spkBits []uint64
-	var spkCounts []int
-	if packOn {
-		// The packed plane is tape-lived like the slab; every word is
-		// stored exactly once below, so the dirty pooled words are fully
-		// overwritten.
-		spkBits = compute.GetUint64(rows * words)
-		tp.OwnWords(spkBits)
-		spkCounts = make([]int, rows)
+	buf := StepBuffers{
+		Cur:    current.Data.Data(),
+		MemIn:  membrane.Data.Data(),
+		Spk:    slab[0*n : 1*n : 1*n],
+		MemOut: slab[1*n : 2*n : 2*n],
+		Surr:   slab[2*n : 3*n : 3*n],
 	}
-	rowGrain := lifGrain / rowLen
-	be.ParallelFor(rows, rowGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r * rowLen
-			wi := r * words
-			var wrd uint64
-			cnt := 0
-			for j := 0; j < rowLen; j++ {
-				i := base + j
-				p := cfg.Alpha*mv[i] + cv[i]
-				var s float64
-				if p > cfg.Vth {
-					s = 1
-					if packOn {
-						wrd |= 1 << (uint(j) & 63)
-						cnt++
-					}
-				}
-				spk[i] = s
-				if isFS {
-					d := 1 + fs.Beta*math.Abs(p-cfg.Vth)
-					surr[i] = 1 / (d * d)
-				} else {
-					surr[i] = cfg.Surrogate.Grad(p - cfg.Vth)
-				}
-				if cfg.Reset == ResetZero {
-					vout[i] = p * (1 - s)
-				} else {
-					vout[i] = p - cfg.Vth*s
-				}
-				if packOn && j&63 == 63 {
-					spkBits[wi] = wrd
-					wi++
-					wrd = 0
-				}
-			}
-			if packOn {
-				if rowLen&63 != 0 {
-					spkBits[wi] = wrd
-				}
-				spkCounts[r] = cnt
-			}
-		}
-	})
+	if excess != nil {
+		// The adaptation path is out-of-graph state (ALIFState).
+		newExcess = tensor.New(shape...)
+		buf.ExIn, buf.ExOut = excess.Data(), newExcess.Data()
+	}
+	// The step is the producer of the network's binary planes: when the
+	// spike dispatch is on it packs the plane while it thresholds, and a
+	// dense-kernel run pays no packing cost. The plane is tape-lived
+	// like the slab; every word is stored exactly once.
+	rows := shape[0]
+	packOn := compute.PackSpikePlanes()
+	if packOn {
+		buf.Bits = compute.GetUint64(rows * ((n/rows + 63) / 64))
+		tp.OwnWords(buf.Bits)
+		buf.Counts = make([]int, rows)
+	}
+	FusedStep(be, cfg, rows, &buf)
 
-	spikeT := tensor.FromSlice(spk, shape...)
-	spikes = tp.NewOp(spikeT, func(g *tensor.Tensor) {
+	spk, surr := buf.Spk, buf.Surr
+	spikes = tp.NewOp(tensor.FromSlice(spk, shape...), func(g *tensor.Tensor) {
 		// ds/dpre = surrogate; dpre/dI = 1; dpre/dv_prev = α.
 		gd := g.Data()
 		dI, dV := stepScratch(be, n)
 		be.ParallelFor(n, lifGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dI[i] = gd[i] * surr[i]
-				dV[i] = gd[i] * surr[i] * cfg.Alpha
+				dV[i] = dI[i] * cfg.Alpha
 			}
 		})
 		current.AccumGrad(tensor.FromSlice(dI, shape...))
 		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
 		releaseStepScratch(be, dI, dV)
 	}, current, membrane)
-	// Attach the plane packed inline above so every synapse downstream —
-	// and the weight-gradient pullbacks — run the spike kernels.
+	// Attach the plane packed inline so every synapse downstream — and
+	// the weight-gradient pullbacks — run the spike kernels.
 	if packOn {
-		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
+		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(buf.Bits, buf.Counts, shape...))
 	}
 
-	vT := tensor.FromSlice(vout, shape...)
-	newMembrane = tp.NewOp(vT, func(g *tensor.Tensor) {
+	newMembrane = tp.NewOp(tensor.FromSlice(buf.MemOut, shape...), func(g *tensor.Tensor) {
 		// dv_out/dpre with the reset gate detached:
 		//   ResetZero:     (1 − s)
 		//   ResetSubtract: 1
@@ -235,8 +179,7 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
 		releaseStepScratch(be, dI, dV)
 	}, current, membrane)
-
-	return spikes, newMembrane
+	return spikes, newMembrane, newExcess
 }
 
 // LIStep advances a non-spiking leaky integrator (Norse's LICell), used as

@@ -44,6 +44,17 @@ type Layer struct {
 	Adapt *Adaptation
 }
 
+// Neuron returns the population's step configuration: Cfg plus the
+// adaptation parameters, which stay zero (and unused) for a plain LIF
+// population.
+func (l Layer) Neuron() AdaptiveConfig {
+	cfg := AdaptiveConfig{NeuronConfig: l.Cfg}
+	if l.Adapt != nil {
+		cfg.AdaptStep, cfg.AdaptDecay = l.Adapt.Step, l.Adapt.Decay
+	}
+	return cfg
+}
+
 // Adaptation selects threshold adaptation for a layer's population: each
 // spike raises the effective threshold by Step and the excess decays by
 // Decay per timestep (see AdaptiveConfig).
@@ -106,14 +117,7 @@ func (n *Network) Validate() error {
 		return fmt.Errorf("snn: LogitScale must be positive, got %g", n.LogitScale)
 	}
 	for i := range n.Hidden {
-		if ad := n.Hidden[i].Adapt; ad != nil {
-			cfg := AdaptiveConfig{NeuronConfig: n.Hidden[i].Cfg, AdaptStep: ad.Step, AdaptDecay: ad.Decay}
-			if err := (&cfg).Validate(); err != nil {
-				return fmt.Errorf("snn: hidden layer %d: %w", i, err)
-			}
-			continue
-		}
-		cfg := n.Hidden[i].Cfg
+		cfg := n.Hidden[i].Neuron()
 		if err := (&cfg).Validate(); err != nil {
 			return fmt.Errorf("snn: hidden layer %d: %w", i, err)
 		}
@@ -178,14 +182,7 @@ func (n *Network) Logits(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
 				}
 			}
 			var spikes *autodiff.Value
-			if ad := n.Hidden[l].Adapt; ad != nil {
-				cfg := AdaptiveConfig{NeuronConfig: n.Hidden[l].Cfg, AdaptStep: ad.Step, AdaptDecay: ad.Decay}
-				st := &ALIFState{V: membranes[l], ThExcess: excess[l]}
-				spikes, st = ALIFStep(tp, cfg, cur, st)
-				membranes[l], excess[l] = st.V, st.ThExcess
-			} else {
-				spikes, membranes[l] = LIFStep(tp, n.Hidden[l].Cfg, cur, membranes[l])
-			}
+			spikes, membranes[l], excess[l] = step(tp, n.Hidden[l].Neuron(), cur, membranes[l], excess[l])
 			if rateSums != nil {
 				rateSums[l] += spikeRate(spikes)
 			}

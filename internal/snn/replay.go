@@ -32,12 +32,7 @@ func (e *SpikeTrainEncoder) plane(t int) *tensor.SpikeTensor {
 // with the packed plane attached when packing is on so the first synapse
 // runs the spike kernels exactly as the streaming path does.
 func (e *SpikeTrainEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
-	p := e.plane(t)
-	v := tp.NewOp(p.DenseOn(tp.Backend()), func(g *tensor.Tensor) {}, x)
-	if compute.PackSpikePlanes() {
-		v.AttachSpikes(p)
-	}
-	return v
+	return recordDrive(tp, e, x, t, nil)
 }
 
 // EncodeForward returns plane t's dense view and, when packing is on,

@@ -164,10 +164,7 @@ func Predict(model nn.Classifier, x *tensor.Tensor) []int {
 }
 
 // PredictOn is Predict on an explicit compute backend (nil selects the
-// default). Predict used to ignore the caller's backend entirely —
-// always recording on a nil-selected tape — which meant serve and grid
-// workers could not bound their kernel widths; this variant threads the
-// backend through the tape like EvaluateOn does.
+// default).
 func PredictOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int {
 	preds, _ := predictLogitsOn(be, model, x, false)
 	return preds
